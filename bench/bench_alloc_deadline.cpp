@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   CliFlags flags;
   define_scale_flags(flags, "1000");
   define_repeat_flag(flags);
-  define_search_threads_flag(flags);
   define_obs_flags(flags);
   flags.define("traces", "comma-separated traces to sweep", "Synth-48");
   flags.define("schemes", "comma-separated schemes (jigsaw, laas)",
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
                "25,50,100,250,1000,5000,0");
   if (!flags.parse(argc, argv)) return 0;
   // Precomputed shape tables (JIGSAW_SHAPE_TABLE=path[:path...]) carry
-  // the v2 ranked probe orders; without them the deadline path falls back
+  // the ranked probe orders; without them the deadline path falls back
   // to ranking at runtime (decisions identical, serving cost higher).
   std::string table_error;
   const std::size_t shape_tables =
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
   const std::size_t jobs = scaled_jobs(flags);
   const int repeats = repeat_count(flags);
   ObsSetup obs_setup = make_obs(flags);
-  const SearchSetup search = make_search_setup(flags);
 
   auto split = [](std::string rest) {
     std::vector<std::string> parts;
@@ -106,7 +104,7 @@ int main(int argc, char** argv) {
   // would contend for cores and corrupt allocate() latency tails.
   std::vector<CellStats> stats;
   for (const Scheme s : schemes) {
-    const AllocatorPtr scheme = make_scheme(s, search.exec);
+    const AllocatorPtr scheme = make_scheme(s);
     for (const NamedTrace& nt : traces) {
       for (const std::int64_t deadline_us : deadlines) {
         Accumulator util, sched_us, p99_us;

@@ -27,7 +27,6 @@
 
 #include "core/baseline.hpp"
 #include "core/jigsaw_allocator.hpp"
-#include "core/parallel_search.hpp"
 #include "core/shape_table.hpp"
 #include "core/laas.hpp"
 #include "core/lc.hpp"
@@ -40,7 +39,6 @@
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace jigsaw::bench {
 
@@ -99,22 +97,16 @@ inline const std::vector<std::string>& all_trace_names() {
 
 enum class Scheme { kBaseline, kLcs, kJigsaw, kLaas, kTa, kLc };
 
-inline AllocatorPtr make_scheme(Scheme scheme, const SearchExec& exec = {}) {
-  AllocatorPtr ptr;
+inline AllocatorPtr make_scheme(Scheme scheme) {
   switch (scheme) {
-    case Scheme::kBaseline: ptr = std::make_unique<BaselineAllocator>(); break;
-    case Scheme::kLcs:
-      ptr = std::make_unique<LeastConstrainedAllocator>(true);
-      break;
-    case Scheme::kJigsaw: ptr = std::make_unique<JigsawAllocator>(); break;
-    case Scheme::kLaas: ptr = std::make_unique<LaasAllocator>(); break;
-    case Scheme::kTa: ptr = std::make_unique<TaAllocator>(); break;
-    case Scheme::kLc:
-      ptr = std::make_unique<LeastConstrainedAllocator>(false);
-      break;
+    case Scheme::kBaseline: return std::make_unique<BaselineAllocator>();
+    case Scheme::kLcs: return std::make_unique<LeastConstrainedAllocator>(true);
+    case Scheme::kJigsaw: return std::make_unique<JigsawAllocator>();
+    case Scheme::kLaas: return std::make_unique<LaasAllocator>();
+    case Scheme::kTa: return std::make_unique<TaAllocator>();
+    case Scheme::kLc: return std::make_unique<LeastConstrainedAllocator>(false);
   }
-  if (ptr != nullptr) ptr->set_search_exec(exec);
-  return ptr;
+  return nullptr;
 }
 
 /// The Figure 6 line-up, in the paper's legend order.
@@ -339,41 +331,6 @@ class SignalFlush {
   void (*previous_term_)(int) = SIG_DFL;
 };
 
-// ---- parallel placement search (shared --search-threads plumbing) ------
-
-inline void define_search_threads_flag(CliFlags& flags) {
-  flags.define("search-threads",
-               "probe lanes for the in-allocator placement search (1 = the "
-               "exact sequential path; any lane count is bit-identical to "
-               "it by construction)",
-               "1");
-}
-
-/// Owns the persistent probe pool behind a SearchExec. Build one per
-/// process and keep it alive for as long as any allocator configured
-/// with its exec may run. With one lane no pool is created and the exec
-/// stays null — allocators take the plain sequential branch.
-struct SearchSetup {
-  std::unique_ptr<ThreadPool> pool;
-  SearchExec exec;
-};
-
-inline SearchSetup make_search_setup(int threads) {
-  if (threads < 1) {
-    throw std::invalid_argument("--search-threads must be >= 1");
-  }
-  SearchSetup setup;
-  if (threads > 1) {
-    setup.pool = std::make_unique<ThreadPool>(threads);
-    setup.exec = SearchExec{setup.pool.get(), threads};
-  }
-  return setup;
-}
-
-inline SearchSetup make_search_setup(const CliFlags& flags) {
-  return make_search_setup(static_cast<int>(flags.integer("search-threads")));
-}
-
 // ---- parallel cell driver ----------------------------------------------
 
 inline void define_threads_flag(CliFlags& flags) {
@@ -400,43 +357,13 @@ inline int resolve_threads(const CliFlags& flags, const ObsSetup& obs) {
   return n;
 }
 
-/// Run `cells` cell bodies across the pool's lanes. Bodies must write
-/// results only into their own pre-sized slot (results[i]) so output is
-/// deterministic regardless of which lane runs which cell. With one lane
-/// (or one cell) the bodies run inline in index order — the bit-exact
-/// legacy sequential path. The first exception from any cell is rethrown
-/// here after the pool drains. Lanes beyond `cells` return immediately.
-inline void run_cells(ThreadPool& pool, std::size_t cells,
-                      const std::function<void(std::size_t)>& body) {
-  if (pool.lanes() <= 1 || cells <= 1) {
-    for (std::size_t i = 0; i < cells; ++i) body(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr error;
-  std::mutex error_mu;
-  pool.run([&](int) {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= cells) return;
-      try {
-        body(i);
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!error) error = std::current_exception();
-        }
-        next.store(cells);  // drain remaining work
-        return;
-      }
-    }
-  });
-  if (error) std::rethrow_exception(error);
-}
-
-/// One-shot convenience: spin a pool sized for this batch, run, tear it
-/// down. Benches that issue several batches should build one ThreadPool
-/// and call the overload above so workers persist across batches.
+/// Run `cells` cell bodies on up to `threads` worker threads that pull
+/// cell indices from a shared counter. Bodies must write results only
+/// into their own pre-sized slot (results[i]) so output is deterministic
+/// regardless of which thread runs which cell. With one worker (or one
+/// cell) the bodies run inline in index order — the bit-exact sequential
+/// path. The first exception from any cell is rethrown here after every
+/// worker has joined; the remaining cells are skipped.
 inline void run_cells(int threads, std::size_t cells,
                       const std::function<void(std::size_t)>& body) {
   const std::size_t workers =
@@ -446,8 +373,29 @@ inline void run_cells(int threads, std::size_t cells,
     for (std::size_t i = 0; i < cells; ++i) body(i);
     return;
   }
-  ThreadPool pool(static_cast<int>(workers));
-  run_cells(pool, cells, body);
+  std::atomic<std::size_t> next{0};
+  std::exception_ptr error;
+  std::mutex error_mu;
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool.emplace_back([&]() {
+      while (true) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= cells) return;
+        try {
+          body(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!error) error = std::current_exception();
+          next.store(cells);  // drain remaining work
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : pool) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 // ---- per-cell attribution ----------------------------------------------

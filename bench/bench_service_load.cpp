@@ -412,9 +412,10 @@ ShardedOutcome run_sharded(const RunSpec& spec, int clusters, int shards) {
   return out;
 }
 
-/// Table row for one run. `obs` is "off" or "on"; `overhead_pct` is the
-/// throughput cost of that run relative to `baseline_throughput` (0 for
-/// the baseline row itself).
+/// Table row for one run. `obs` is "off" or "on"; `overhead.pct` is the
+/// throughput cost of that run relative to `baseline_throughput`, and 0
+/// when the baseline is 0 or the run is the baseline itself. Only the
+/// --obs-compare "on" row has a baseline that means something.
 std::vector<std::string> outcome_row(const std::string& trace_name,
                                      int clients, const std::string& shards,
                                      const std::string& obs,
@@ -539,7 +540,7 @@ int main(int argc, char** argv) {
         table.add_row(outcome_row(named.trace.name + ".s" +
                                       std::to_string(s),
                                   0, shards_label, obs_label, r.per_shard[s],
-                                  r.total.throughput));
+                                  0.0));
       }
       std::cout << table.render();
       std::cout << "aggregate: "

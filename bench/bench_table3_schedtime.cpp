@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   CliFlags flags;
   define_scale_flags(flags, "2000");
   define_repeat_flag(flags);
-  define_search_threads_flag(flags);
   define_obs_flags(flags);
   flags.define_bool("skip-lcs", "skip the slow LC+S row");
   flags.define("traces",
@@ -40,12 +39,9 @@ int main(int argc, char** argv) {
   const std::size_t jobs = scaled_jobs(flags);
   const int repeats = repeat_count(flags);
   ObsSetup obs_setup = make_obs(flags);
-  const SearchSetup search = make_search_setup(flags);
 
   // Wall-time measurements stay sequential on purpose: parallel cells
-  // would contend for cores and corrupt per-job scheduling times. (The
-  // probe pool behind --search-threads is part of the thing being
-  // measured, not a cell driver.)
+  // would contend for cores and corrupt per-job scheduling times.
   std::vector<std::string> names{"Synth-16", "Sep-Cab", "Thunder",
                                  "Synth-28"};
   if (!flags.str("traces").empty()) {
@@ -81,7 +77,7 @@ int main(int argc, char** argv) {
 
   std::vector<CellStats> stats;
   for (const Scheme s : schemes) {
-    const AllocatorPtr scheme = make_scheme(s, search.exec);
+    const AllocatorPtr scheme = make_scheme(s);
     std::vector<std::string> row{scheme->name()};
     for (const NamedTrace& nt : traces) {
       Accumulator sched_time;

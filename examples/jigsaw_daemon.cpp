@@ -34,7 +34,6 @@
 #include "core/jigsaw_allocator.hpp"
 #include "core/laas.hpp"
 #include "core/lc.hpp"
-#include "core/parallel_search.hpp"
 #include "core/shape_table.hpp"
 #include "core/ta.hpp"
 #include "obs/sink.hpp"
@@ -42,7 +41,6 @@
 #include "service/reactor.hpp"
 #include "service/shard.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -146,12 +144,6 @@ int main(int argc, char** argv) {
                "restore + warm-up), charged as extended occupancy",
                "60");
   flags.define("max-moves", "most jobs one defrag plan may relocate", "3");
-  flags.define("search-threads",
-               "probe lanes for the placement search (1 = exact sequential "
-               "path; grants are bit-identical at any lane count). The "
-               "reactor stays single-threaded either way: only the "
-               "read-only probe phase fans out, inside one handler call.",
-               "1");
   flags.define("alloc-deadline-us",
                "anytime placement-search deadline per allocate() call, "
                "microseconds (0 = exhaustive search, the bit-identical "
@@ -179,21 +171,6 @@ int main(int argc, char** argv) {
     }
     if (shape_tables > 0) {
       std::cerr << "shape tables installed: " << shape_tables << "\n";
-    }
-
-    // Pool first, daemon after: the pool must outlive every allocate()
-    // the daemon can issue, including the drain inside daemon.flush().
-    const int search_threads =
-        static_cast<int>(flags.integer("search-threads"));
-    if (search_threads < 1) {
-      std::cerr << "--search-threads must be >= 1\n";
-      return 1;
-    }
-    std::unique_ptr<ThreadPool> search_pool;
-    if (search_threads > 1) {
-      search_pool = std::make_unique<ThreadPool>(search_threads);
-      allocator->set_search_exec(
-          SearchExec{search_pool.get(), search_threads});
     }
 
     std::unique_ptr<std::ofstream> trace_stream;
@@ -250,12 +227,6 @@ int main(int argc, char** argv) {
     const int shard_count = static_cast<int>(flags.integer("shards"));
     if (clusters < 1 || shard_count < 1) {
       std::cerr << "--clusters and --shards must be >= 1\n";
-      return 1;
-    }
-    if (clusters > 1 && search_threads > 1) {
-      // Each cluster already has its own worker thread; nested probe
-      // fan-out would contend on one pool for no gain.
-      std::cerr << "--search-threads > 1 requires --clusters 1\n";
       return 1;
     }
 

@@ -18,7 +18,6 @@
 #include "core/jigsaw_allocator.hpp"
 #include "core/laas.hpp"
 #include "core/lc.hpp"
-#include "core/parallel_search.hpp"
 #include "core/shape_table.hpp"
 #include "core/ta.hpp"
 #include "obs/observer.hpp"
@@ -27,7 +26,6 @@
 #include "trace/synthetic.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -60,10 +58,6 @@ int main(int argc, char** argv) {
   flags.define("jobs", "number of jobs to replay", "2000");
   flags.define("scenario", "isolation speed-up scenario (None/5%/10%/20%/V2/Random)",
                "10%");
-  flags.define("search-threads",
-               "probe lanes for the placement search (1 = exact sequential "
-               "path; results are bit-identical at any lane count)",
-               "1");
   flags.define("trace-out",
                "write structured event trace to this file (empty = off)", "");
   flags.define("trace-format", "event trace format: chrome or jsonl",
@@ -119,28 +113,12 @@ int main(int argc, char** argv) {
   config.scenario = parse_scenario(flags.str("scenario"));
   config.obs = obs_ctx;
 
-  // The probe pool must outlive every allocator call; one lane means no
-  // pool at all and the schemes take the plain sequential branch.
-  const int search_threads =
-      static_cast<int>(flags.integer("search-threads"));
-  if (search_threads < 1) {
-    std::cerr << "--search-threads must be >= 1\n";
-    return 1;
-  }
-  std::unique_ptr<ThreadPool> search_pool;
-  SearchExec search_exec;
-  if (search_threads > 1) {
-    search_pool = std::make_unique<ThreadPool>(search_threads);
-    search_exec = SearchExec{search_pool.get(), search_threads};
-  }
-
   std::vector<AllocatorPtr> schemes;
   schemes.push_back(std::make_unique<BaselineAllocator>());
   schemes.push_back(std::make_unique<LeastConstrainedAllocator>(true));
   schemes.push_back(std::make_unique<JigsawAllocator>());
   schemes.push_back(std::make_unique<LaasAllocator>());
   schemes.push_back(std::make_unique<TaAllocator>());
-  for (const auto& scheme : schemes) scheme->set_search_exec(search_exec);
 
   TablePrinter table({"scheme", "utilization %", "waste %",
                       "mean turnaround (s)", "makespan (s)",

@@ -12,7 +12,7 @@
 #include <optional>
 #include <string>
 
-#include "core/parallel_search.hpp"
+#include "core/candidate_scan.hpp"
 #include "topology/cluster_state.hpp"
 
 namespace jigsaw {
@@ -74,7 +74,7 @@ class Allocator {
   /// inactive `budget` (the default) runs the exact exhaustive scan;
   /// with deadline_ns > 0 the scan turns anytime — quality-descending
   /// candidate order, best feasible placement committed at expiry (see
-  /// core/parallel_search.hpp). Either way the returned Allocation, if
+  /// core/candidate_scan.hpp). Either way the returned Allocation, if
   /// any, satisfies the scheme's full isolation conditions: a deadline
   /// can only trade placement *quality* and hit rate, never soundness.
   virtual std::optional<Allocation> allocate(const ClusterState& state,
@@ -121,18 +121,6 @@ class Allocator {
   /// re-running their probe loop with link occupancy ignored.
   virtual BlockedReason diagnose(const ClusterState& state,
                                  const JobRequest& request) const;
-
-  /// Install the execution policy for candidate scans. The default (no
-  /// pool) is the exact sequential search; with a pool and threads > 1
-  /// the condition-based schemes fan feasibility probes out across the
-  /// pool's lanes, with results bit-identical to sequential (see
-  /// core/parallel_search.hpp). The pool must outlive the allocator's
-  /// last allocate() call. Schemes without a candidate scan ignore it.
-  void set_search_exec(const SearchExec& exec) { exec_ = exec; }
-  const SearchExec& search_exec() const { return exec_; }
-
- protected:
-  SearchExec exec_;
 };
 
 using AllocatorPtr = std::unique_ptr<Allocator>;

@@ -35,7 +35,7 @@ std::optional<Allocation> JigsawAllocator::allocate(
   if (request.nodes > state.total_free_nodes()) return std::nullopt;
 
   const LinkView view{&state, 0.0};
-  return search(state, view, exec_, request, budget, stats);
+  return search(state, view, request, budget, stats);
 }
 
 BlockedReason JigsawAllocator::diagnose(const ClusterState& state,
@@ -47,12 +47,11 @@ BlockedReason JigsawAllocator::diagnose(const ClusterState& state,
   if (request.nodes > state.total_free_nodes()) {
     return BlockedReason::kNodeShortage;
   }
-  // Same probe loop, links unconstrained, sequential: a placement found
-  // here but not by allocate() was rejected by the link conditions.
+  // Same probe loop, links unconstrained: a placement found here but
+  // not by allocate() was rejected by the link conditions.
   const LinkView view = LinkView::links_unconstrained(&state);
   SearchStats stats;
-  if (search(state, view, SearchExec{}, request, AllocBudget{}, &stats)
-          .has_value()) {
+  if (search(state, view, request, AllocBudget{}, &stats).has_value()) {
     return BlockedReason::kUplinkIsolation;
   }
   if (stats.budget_exhausted) return BlockedReason::kBudgetExhausted;
@@ -93,7 +92,6 @@ bool JigsawAllocator::size_unplaceable(const FatTree& topo, int nodes) const {
 
 std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
                                                  const LinkView& view,
-                                                 const SearchExec& exec,
                                                  const JobRequest& request,
                                                  const AllocBudget& latency,
                                                  SearchStats* stats) const {
@@ -124,12 +122,6 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
     return (anytime && pos > 0) ? &clock : nullptr;
   };
 
-  // One probe payload per execution lane; a lane stops pulling candidates
-  // after its first success, so the winning lane's slot still holds the
-  // winning pick when the scan returns. Sequential scans use the lone
-  // stack slot — no per-lane storage, no heap traffic.
-  const std::size_t lanes = static_cast<std::size_t>(exec.lanes());
-
   // Pass 1: single-subtree (two-level) allocations, densest shape first,
   // fullest subtree first. The candidate order is the flat (shape-major,
   // tree-minor) product of the two nested loops this pass used to run.
@@ -149,24 +141,19 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
       return clock.ranked() ? rank2[s] : s;
     };
     TwoLevelPick pick;
-    std::vector<TwoLevelPick> lane_picks(lanes > 1 ? lanes : 0);
-    auto pick_for = [&](int lane) -> TwoLevelPick& {
-      return lane_picks.empty() ? pick
-                                : lane_picks[static_cast<std::size_t>(lane)];
-    };
     const CandidateScan r = scan_first_feasible(
-        exec, shapes2.size() * n_trees, budget, scan_clock,
-        [&](int lane, std::size_t pos, std::uint64_t& b) {
+        shapes2.size() * n_trees, budget, scan_clock,
+        [&](std::size_t pos, std::uint64_t& b) {
           return find_two_level(state, view, shapes2[shape_at(pos)],
-                                tree_order[pos % n_trees], b, &pick_for(lane),
+                                tree_order[pos % n_trees], b, &pick,
                                 probe_clock(pos));
         });
     fold(r);
     if (r.winner >= 0) {
       record(false);
       const std::size_t w = static_cast<std::size_t>(r.winner);
-      return materialize(state, shapes2[shape_at(w)], pick_for(r.winner_lane),
-                         request.id, request.nodes, 0.0);
+      return materialize(state, shapes2[shape_at(w)], pick, request.id,
+                         request.nodes, 0.0);
     }
     if (r.exhausted) {
       record(true);
@@ -189,25 +176,18 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
       return clock.ranked() ? rank3[pos] : pos;
     };
     ThreeLevelPick pick;
-    std::vector<ThreeLevelPick> lane_picks(lanes > 1 ? lanes : 0);
-    auto pick_for = [&](int lane) -> ThreeLevelPick& {
-      return lane_picks.empty() ? pick
-                                : lane_picks[static_cast<std::size_t>(lane)];
-    };
     const CandidateScan r = scan_first_feasible(
-        exec, shapes3.size(), budget, scan_clock,
-        [&](int lane, std::size_t pos, std::uint64_t& b) {
+        shapes3.size(), budget, scan_clock,
+        [&](std::size_t pos, std::uint64_t& b) {
           return find_three_level_full_leaves(state, view, shapes3[shape_at(pos)],
-                                              b, &pick_for(lane),
-                                              probe_clock(pos));
+                                              b, &pick, probe_clock(pos));
         });
     fold(r);
     if (r.winner >= 0) {
       record(false);
       return materialize(state,
                          shapes3[shape_at(static_cast<std::size_t>(r.winner))],
-                         pick_for(r.winner_lane), request.id, request.nodes,
-                         0.0);
+                         pick, request.id, request.nodes, 0.0);
     }
     if (r.exhausted) {
       record(true);

@@ -57,13 +57,12 @@ class JigsawAllocator final : public Allocator {
 
  private:
   /// The two-pass probe loop, parameterized over the availability lens
-  /// and execution policy so allocate() (live view, installed exec) and
-  /// diagnose() (links-unconstrained view, sequential) share one search.
+  /// so allocate() (live view) and diagnose() (links-unconstrained view)
+  /// share one search.
   /// An active `latency` turns both passes anytime (quality-descending
   /// shape order, best feasible committed at expiry).
   std::optional<Allocation> search(const ClusterState& state,
                                    const LinkView& view,
-                                   const SearchExec& exec,
                                    const JobRequest& request,
                                    const AllocBudget& latency,
                                    SearchStats* stats) const;

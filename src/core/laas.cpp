@@ -144,7 +144,7 @@ std::optional<Allocation> LaasAllocator::allocate(const ClusterState& state,
     return std::nullopt;
   }
   const LinkView view{&state, 0.0};
-  return search(state, view, exec_, request, budget, stats);
+  return search(state, view, request, budget, stats);
 }
 
 BlockedReason LaasAllocator::diagnose(const ClusterState& state,
@@ -156,14 +156,13 @@ BlockedReason LaasAllocator::diagnose(const ClusterState& state,
   if (request.nodes > state.total_free_nodes()) {
     return BlockedReason::kNodeShortage;
   }
-  // Same probe loop, links unconstrained, sequential: a placement found
-  // here but not by allocate() was rejected by the link conditions.
-  // LaaS's whole-leaf rounding constraints count as layout — they bind
+  // Same probe loop, links unconstrained: a placement found here but
+  // not by allocate() was rejected by the link conditions. LaaS's
+  // whole-leaf rounding constraints count as layout — they bind
   // identically under both views.
   const LinkView view = LinkView::links_unconstrained(&state);
   SearchStats stats;
-  if (search(state, view, SearchExec{}, request, AllocBudget{}, &stats)
-          .has_value()) {
+  if (search(state, view, request, AllocBudget{}, &stats).has_value()) {
     return BlockedReason::kUplinkIsolation;
   }
   if (stats.budget_exhausted) return BlockedReason::kBudgetExhausted;
@@ -191,7 +190,6 @@ bool LaasAllocator::quick_reject(const ClusterState& state,
 
 std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
                                                const LinkView& view,
-                                               const SearchExec& exec,
                                                const JobRequest& request,
                                                const AllocBudget& latency,
                                                SearchStats* stats) const {
@@ -233,7 +231,6 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
                      return state.tree_free_nodes(a) <
                             state.tree_free_nodes(b);
                    });
-  const std::size_t lanes = static_cast<std::size_t>(exec.lanes());
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   const auto rank2 = clock.ranked()
                          ? two_level_ranked_seq(request.nodes, topo)
@@ -245,24 +242,19 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
       return clock.ranked() ? rank2[s] : s;
     };
     TwoLevelPick pick;
-    std::vector<TwoLevelPick> lane_picks(lanes > 1 ? lanes : 0);
-    auto pick_for = [&](int lane) -> TwoLevelPick& {
-      return lane_picks.empty() ? pick
-                                : lane_picks[static_cast<std::size_t>(lane)];
-    };
     const CandidateScan r = scan_first_feasible(
-        exec, shapes2.size() * n_trees, budget, scan_clock,
-        [&](int lane, std::size_t pos, std::uint64_t& b) {
+        shapes2.size() * n_trees, budget, scan_clock,
+        [&](std::size_t pos, std::uint64_t& b) {
           return find_two_level(state, view, shapes2[shape_at(pos)],
-                                tree_order[pos % n_trees], b, &pick_for(lane),
+                                tree_order[pos % n_trees], b, &pick,
                                 probe_clock(pos));
         });
     fold(r);
     if (r.winner >= 0) {
       record(false);
       const std::size_t w = static_cast<std::size_t>(r.winner);
-      return materialize(state, shapes2[shape_at(w)], pick_for(r.winner_lane),
-                         request.id, request.nodes, 0.0);
+      return materialize(state, shapes2[shape_at(w)], pick, request.id,
+                         request.nodes, 0.0);
     }
     if (r.exhausted) {
       record(true);
@@ -278,15 +270,10 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
   // quality-descending, so the anytime scan keeps the identity order.
   {
     const int cmax = std::min(leaves_needed, m2);
-    Allocation seq_alloc;
-    std::vector<Allocation> lane_allocs(lanes > 1 ? lanes : 0);
-    auto alloc_for = [&](int lane) -> Allocation& {
-      return lane_allocs.empty() ? seq_alloc
-                                 : lane_allocs[static_cast<std::size_t>(lane)];
-    };
+    Allocation a;
     const CandidateScan r = scan_first_feasible(
-        exec, cmax > 0 ? static_cast<std::size_t>(cmax) : 0, budget,
-        scan_clock, [&](int lane, std::size_t k, std::uint64_t& b) {
+        cmax > 0 ? static_cast<std::size_t>(cmax) : 0, budget, scan_clock,
+        [&](std::size_t k, std::uint64_t& b) {
           const int c = cmax - static_cast<int>(k);
           const int q = leaves_needed / c;
           const int cr = leaves_needed % c;
@@ -304,7 +291,6 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
           }
           if (static_cast<int>(ctx.cand.size()) < q) return false;
 
-          Allocation& a = alloc_for(lane);
           a.clear();
           a.job = request.id;
           a.requested_nodes = request.nodes;
@@ -314,7 +300,7 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
     fold(r);
     if (r.winner >= 0) {
       record(false);
-      return std::move(alloc_for(r.winner_lane));
+      return a;
     }
     if (r.exhausted) {
       record(true);

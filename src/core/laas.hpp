@@ -50,12 +50,11 @@ class LaasAllocator final : public Allocator {
                     const JobRequest& request) const override;
 
  private:
-  /// The probe loop shared by allocate() (live view, installed exec) and
-  /// diagnose() (links-unconstrained view, sequential). An active
+  /// The probe loop shared by allocate() (live view) and diagnose()
+  /// (links-unconstrained view). An active
   /// `latency` turns the two-level pass and the width scan anytime.
   std::optional<Allocation> search(const ClusterState& state,
                                    const LinkView& view,
-                                   const SearchExec& exec,
                                    const JobRequest& request,
                                    const AllocBudget& latency,
                                    SearchStats* stats) const;

@@ -337,8 +337,7 @@ std::optional<Allocation> LeastConstrainedAllocator::allocate(
   if (request.nodes > state.total_free_nodes()) return std::nullopt;
 
   const double demand = share_links_ ? request.bandwidth : 0.0;
-  return search(state, demand, /*ignore_links=*/false, exec_, request, budget,
-                stats);
+  return search(state, demand, /*ignore_links=*/false, request, budget, stats);
 }
 
 BlockedReason LeastConstrainedAllocator::diagnose(
@@ -350,12 +349,11 @@ BlockedReason LeastConstrainedAllocator::diagnose(
   if (request.nodes > state.total_free_nodes()) {
     return BlockedReason::kNodeShortage;
   }
-  // Same probe loop, links (and demand) unconstrained, sequential: a
-  // placement found here but not by allocate() was rejected by the link
-  // conditions.
+  // Same probe loop, links (and demand) unconstrained: a placement found
+  // here but not by allocate() was rejected by the link conditions.
   SearchStats stats;
-  if (search(state, 0.0, /*ignore_links=*/true, SearchExec{}, request,
-             AllocBudget{}, &stats)
+  if (search(state, 0.0, /*ignore_links=*/true, request, AllocBudget{},
+             &stats)
           .has_value()) {
     return BlockedReason::kUplinkIsolation;
   }
@@ -365,8 +363,8 @@ BlockedReason LeastConstrainedAllocator::diagnose(
 
 std::optional<Allocation> LeastConstrainedAllocator::search(
     const ClusterState& state, double demand, bool ignore_links,
-    const SearchExec& exec, const JobRequest& request,
-    const AllocBudget& latency, SearchStats* stats) const {
+    const JobRequest& request, const AllocBudget& latency,
+    SearchStats* stats) const {
   const FatTree& topo = state.topo();
   const LinkView view = ignore_links ? LinkView::links_unconstrained(&state)
                                      : LinkView{&state, demand};
@@ -392,30 +390,10 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     return (anytime && pos > 0) ? &clock : nullptr;
   };
 
-  // Per-lane availability views for parallel probes: LinkView's lazy
-  // residual memo is mutable per-view state, so concurrent lanes need
-  // their own (each memoizes identical values — pure functions of the
-  // frozen state). The zero-demand view is stateless and shared.
-  const std::size_t lanes = static_cast<std::size_t>(exec.lanes());
-  std::vector<LinkView> lane_views;
-  if (lanes > 1 && demand > 0.0) {
-    lane_views.reserve(lanes);
-    for (std::size_t k = 0; k < lanes; ++k) lane_views.emplace_back(&state, demand);
-  }
-  auto view_for = [&](int lane) -> const LinkView& {
-    return lane_views.empty() ? view
-                              : lane_views[static_cast<std::size_t>(lane)];
-  };
-
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   {
     const std::size_t n_trees = static_cast<std::size_t>(topo.trees());
     TwoLevelPick pick;
-    std::vector<TwoLevelPick> lane_picks(lanes > 1 ? lanes : 0);
-    auto pick_for = [&](int lane) -> TwoLevelPick& {
-      return lane_picks.empty() ? pick
-                                : lane_picks[static_cast<std::size_t>(lane)];
-    };
     // Under a deadline, probe shapes quality-descending (fewest leaves
     // touched first) so the min-position winner is the best-known fit.
     const auto rank2 = clock.ranked() ? two_level_ranked_seq(request.nodes, topo)
@@ -425,18 +403,18 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
       return clock.ranked() ? static_cast<std::size_t>(rank2[s]) : s;
     };
     const CandidateScan r = scan_first_feasible(
-        exec, shapes2.size() * n_trees, budget, scan_clock,
-        [&](int lane, std::size_t pos, std::uint64_t& b) {
-          return find_two_level(state, view_for(lane), shapes2[shape_at(pos)],
-                                static_cast<TreeId>(pos % n_trees), b,
-                                &pick_for(lane), probe_clock(pos));
+        shapes2.size() * n_trees, budget, scan_clock,
+        [&](std::size_t pos, std::uint64_t& b) {
+          return find_two_level(state, view, shapes2[shape_at(pos)],
+                                static_cast<TreeId>(pos % n_trees), b, &pick,
+                                probe_clock(pos));
         });
     fold(r);
     if (r.winner >= 0) {
       record(false);
       const std::size_t w = static_cast<std::size_t>(r.winner);
-      return materialize(state, shapes2[shape_at(w)], pick_for(r.winner_lane),
-                         request.id, request.nodes, demand);
+      return materialize(state, shapes2[shape_at(w)], pick, request.id,
+                         request.nodes, demand);
     }
     if (r.exhausted) {
       record(true);
@@ -469,11 +447,6 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
                                           /*restrict_full_leaves=*/false);
   {
     GeneralPick pick;
-    std::vector<GeneralPick> lane_picks(lanes > 1 ? lanes : 0);
-    auto pick_for = [&](int lane) -> GeneralPick& {
-      return lane_picks.empty() ? pick
-                                : lane_picks[static_cast<std::size_t>(lane)];
-    };
     const std::vector<Mask> all(static_cast<std::size_t>(topo.l2_per_tree()),
                                 low_bits(topo.spines_per_group()));
     // The general (any nodes-per-leaf) family is never tabled, so its
@@ -492,8 +465,8 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
       return clock.ranked() ? static_cast<std::size_t>(rank3[pos]) : pos;
     };
     const CandidateScan r = scan_first_feasible(
-        exec, shapes3.size(), budget, scan_clock,
-        [&](int lane, std::size_t si, std::uint64_t& b) {
+        shapes3.size(), budget, scan_clock,
+        [&](std::size_t si, std::uint64_t& b) {
           const ThreeLevelShape& shape = shapes3[shape3_at(si)];
           // Node-count feasibility screen: enough trees must hold enough
           // sufficiently-free leaves before any link search is worth
@@ -514,15 +487,14 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
             return false;
           }
 
-          const LinkView& lane_view = view_for(lane);
-          L3Ctx ctx{&state,  &lane_view, shape, {}, {}, {}, {}, &b,
-                    nullptr, probe_clock(si)};
+          L3Ctx ctx{&state, &view, shape, {}, {}, {}, {}, &b, nullptr,
+                    probe_clock(si)};
           for (TreeId t = 0; t < topo.trees(); ++t) {
             if (leaves_with_at_least(t, shape.nodes_per_leaf) <
                 shape.leaves_per_tree) {
               continue;
             }
-            auto solutions = tree_solutions(state, lane_view, t,
+            auto solutions = tree_solutions(state, view, t,
                                             shape.leaves_per_tree,
                                             shape.nodes_per_leaf, b,
                                             probe_clock(si));
@@ -534,7 +506,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
             return false;
           }
 
-          ctx.out = &pick_for(lane);
+          ctx.out = &pick;
           return recurse_general(ctx, 0, ~Mask{0}, all);
         });
     fold(r);
@@ -542,7 +514,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
       record(false);
       return materialize_general(
           state, shapes3[shape3_at(static_cast<std::size_t>(r.winner))],
-          pick_for(r.winner_lane), request.id, request.nodes, demand);
+          pick, request.id, request.nodes, demand);
     }
     if (r.exhausted) {
       record(true);

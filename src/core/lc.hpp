@@ -52,13 +52,13 @@ class LeastConstrainedAllocator final : public Allocator {
                          const JobRequest& request) const override;
 
  private:
-  /// The probe loop shared by allocate() (live availability lens,
-  /// installed exec) and diagnose() (links-unconstrained, sequential).
+  /// The probe loop shared by allocate() (live availability lens) and
+  /// diagnose() (links-unconstrained).
   /// An active `latency` turns both passes anytime; the general
   /// three-level family is never tabled, so its quality-descending order
   /// is computed at runtime per call.
   std::optional<Allocation> search(const ClusterState& state, double demand,
-                                   bool ignore_links, const SearchExec& exec,
+                                   bool ignore_links,
                                    const JobRequest& request,
                                    const AllocBudget& latency,
                                    SearchStats* stats) const;

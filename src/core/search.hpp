@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/parallel_search.hpp"  // AnytimeClock
+#include "core/candidate_scan.hpp"  // AnytimeClock
 #include "core/shapes.hpp"
 #include "topology/cluster_state.hpp"
 

@@ -20,9 +20,9 @@ namespace jigsaw {
 namespace {
 
 constexpr char kMagic[8] = {'J', 'G', 'S', 'W', 'S', 'H', 'T', '1'};
-constexpr std::uint32_t kVersion = 1;
-/// v2 appends the per-size ranked permutations after pool3.
-constexpr std::uint32_t kVersionRanked = 2;
+/// Version 2 carries the per-size ranked permutations after pool3;
+/// version 1 (canonical pools only) is refused.
+constexpr std::uint32_t kVersion = 2;
 /// magic + version + m1..m3 + reserved + crc + payload length.
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 6 * 4 + 8;
 
@@ -43,7 +43,7 @@ bool fail(std::string* error, const std::string& message) {
 
 }  // namespace
 
-std::string ShapeTable::serialize(const FatTree& topo, bool ranked) {
+std::string ShapeTable::serialize(const FatTree& topo) {
   const int total = topo.total_nodes();
   std::vector<std::uint64_t> idx2, idx3;
   idx2.reserve(static_cast<std::size_t>(total) + 1);
@@ -62,14 +62,12 @@ std::string ShapeTable::serialize(const FatTree& topo, bool ranked) {
     const auto three = three_level_shapes(n, topo, /*restrict=*/true);
     pool3.insert(pool3.end(), three.begin(), three.end());
     idx3.push_back(pool3.size());
-    if (ranked) {
-      // Same contract as the pools: the rank arrays ARE the runtime
-      // ranking functions' output on the runtime enumerators' output.
-      const auto r2 = ranked_two_level_order(two);
-      rank2.insert(rank2.end(), r2.begin(), r2.end());
-      const auto r3 = ranked_three_level_order(three);
-      rank3.insert(rank3.end(), r3.begin(), r3.end());
-    }
+    // Same contract as the pools: the rank arrays ARE the runtime
+    // ranking functions' output on the runtime enumerators' output.
+    const auto r2 = ranked_two_level_order(two);
+    rank2.insert(rank2.end(), r2.begin(), r2.end());
+    const auto r3 = ranked_three_level_order(three);
+    rank3.insert(rank3.end(), r3.begin(), r3.end());
   }
 
   std::string payload;
@@ -90,16 +88,14 @@ std::string ShapeTable::serialize(const FatTree& topo, bool ranked) {
     w.u32(static_cast<std::uint32_t>(s.rem_full_leaves));
     w.u32(static_cast<std::uint32_t>(s.rem_leaf_nodes));
   }
-  if (ranked) {
-    for (const std::uint32_t v : rank2) w.u32(v);
-    for (const std::uint32_t v : rank3) w.u32(v);
-  }
+  for (const std::uint32_t v : rank2) w.u32(v);
+  for (const std::uint32_t v : rank3) w.u32(v);
 
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
   out.append(kMagic, sizeof(kMagic));
   BufWriter h(out);
-  h.u32(ranked ? kVersionRanked : kVersion);
+  h.u32(kVersion);
   h.u32(static_cast<std::uint32_t>(topo.nodes_per_leaf()));
   h.u32(static_cast<std::uint32_t>(topo.leaves_per_tree()));
   h.u32(static_cast<std::uint32_t>(topo.trees()));
@@ -155,10 +151,9 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
   r.u32();  // reserved
   const std::uint32_t crc = r.u32();
   const std::uint64_t payload_bytes = r.u64();
-  if (version != kVersion && version != kVersionRanked) {
+  if (version != kVersion) {
     return report("version " + std::to_string(version) + " (want " +
-                  std::to_string(kVersion) + " or " +
-                  std::to_string(kVersionRanked) + ")");
+                  std::to_string(kVersion) + ")");
   }
   if (m1 < 1 || m1 > 64 || m2 < 1 || m2 > 64 || m3 < 1 || m3 > 64) {
     return report("topology parameters out of range");
@@ -184,9 +179,7 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
   }
   const std::uint64_t c2 = idx2[total];
   const std::uint64_t c3 = idx3[total];
-  const std::uint64_t rank_bytes =
-      version >= kVersionRanked ? 4 * (c2 + c3) : 0;
-  if (payload_bytes != index_bytes + 12 * c2 + 20 * c3 + rank_bytes) {
+  if (payload_bytes != index_bytes + 16 * c2 + 24 * c3) {
     return report("pool length mismatch");
   }
   const char* pool2 = payload + index_bytes;
@@ -196,32 +189,28 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
           0) {
     return report("misaligned pool");
   }
-  const std::uint32_t* rank2 = nullptr;
-  const std::uint32_t* rank3 = nullptr;
-  if (version >= kVersionRanked) {
-    // index_bytes is 8-aligned and both record sizes are multiples of 4,
-    // so the rank arrays land 4-aligned by construction.
-    rank2 = reinterpret_cast<const std::uint32_t*>(pool3 + 20 * c3);
-    rank3 = rank2 + c2;
-    // Each size's rank span must be a permutation of [0, span length):
-    // an out-of-range or duplicated entry would silently skip candidate
-    // shapes in anytime mode, so a malformed file is refused outright.
-    std::vector<unsigned char> seen;
-    auto check = [&](const std::uint64_t* idx, const std::uint32_t* rank) {
-      for (std::uint64_t n = 0; n < total; ++n) {
-        const std::uint64_t span = idx[n + 1] - idx[n];
-        seen.assign(span, 0);
-        for (std::uint64_t p = 0; p < span; ++p) {
-          const std::uint32_t v = rank[idx[n] + p];
-          if (v >= span || seen[v]) return false;
-          seen[v] = 1;
-        }
+  // index_bytes is 8-aligned and both record sizes are multiples of 4,
+  // so the rank arrays land 4-aligned by construction.
+  const auto* rank2 = reinterpret_cast<const std::uint32_t*>(pool3 + 20 * c3);
+  const std::uint32_t* rank3 = rank2 + c2;
+  // Each size's rank span must be a permutation of [0, span length): an
+  // out-of-range or duplicated entry would silently skip candidate shapes
+  // in anytime mode, so a malformed file is refused outright.
+  std::vector<unsigned char> seen;
+  auto check = [&](const std::uint64_t* idx, const std::uint32_t* rank) {
+    for (std::uint64_t n = 0; n < total; ++n) {
+      const std::uint64_t span = idx[n + 1] - idx[n];
+      seen.assign(span, 0);
+      for (std::uint64_t p = 0; p < span; ++p) {
+        const std::uint32_t v = rank[idx[n] + p];
+        if (v >= span || seen[v]) return false;
+        seen[v] = 1;
       }
-      return true;
-    };
-    if (!check(idx2, rank2) || !check(idx3, rank3)) {
-      return report("ranked permutation invalid");
     }
+    return true;
+  };
+  if (!check(idx2, rank2) || !check(idx3, rank3)) {
+    return report("ranked permutation invalid");
   }
 
   table->m1_ = static_cast<int>(m1);
@@ -255,7 +244,6 @@ std::span<const ThreeLevelShape> ShapeTable::three_level_restricted(
 }
 
 std::span<const std::uint32_t> ShapeTable::two_level_ranked(int size) const {
-  if (rank2_ == nullptr) return {};
   const auto n = static_cast<std::size_t>(size);
   return {rank2_ + idx2_[n - 1],
           static_cast<std::size_t>(idx2_[n] - idx2_[n - 1])};
@@ -263,7 +251,6 @@ std::span<const std::uint32_t> ShapeTable::two_level_ranked(int size) const {
 
 std::span<const std::uint32_t> ShapeTable::three_level_ranked(
     int size) const {
-  if (rank3_ == nullptr) return {};
   const auto n = static_cast<std::size_t>(size);
   return {rank3_ + idx3_[n - 1],
           static_cast<std::size_t>(idx3_[n] - idx3_[n - 1])};
@@ -438,8 +425,7 @@ ShapeSeq<ThreeLevelShape> three_level_shape_seq(int size, const FatTree& topo,
 ShapeSeq<std::uint32_t> two_level_ranked_seq(int size, const FatTree& topo) {
   if (size >= 1) {
     if (auto table = find_shape_table(topo);
-        table != nullptr && size <= table->total_nodes() &&
-        table->has_ranked()) {
+        table != nullptr && size <= table->total_nodes()) {
       bump(g_rank_table);
       auto view = table->two_level_ranked(size);
       return {view, std::move(table)};
@@ -454,8 +440,7 @@ ShapeSeq<std::uint32_t> three_level_ranked_seq(int size,
                                                const FatTree& topo) {
   if (size >= 1) {
     if (auto table = find_shape_table(topo);
-        table != nullptr && size <= table->total_nodes() &&
-        table->has_ranked()) {
+        table != nullptr && size <= table->total_nodes()) {
       bump(g_rank_table);
       auto view = table->three_level_ranked(size);
       return {view, std::move(table)};

@@ -140,19 +140,12 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
                                 state.tree_free_nodes(y);
                        });
     }
-    const std::size_t lanes = static_cast<std::size_t>(exec_.lanes());
-    std::vector<Allocation> lane_allocs(lanes > 1 ? lanes : 0);
-    auto alloc_for = [&](int lane) -> Allocation& {
-      return lane_allocs.empty()
-                 ? a
-                 : lane_allocs[static_cast<std::size_t>(lane)];
-    };
     std::uint64_t budget = static_cast<std::uint64_t>(topo.trees()) + 1;
     const std::uint64_t full = budget;
     const CandidateScan r = scan_first_feasible(
-        exec_, static_cast<std::size_t>(topo.trees()), budget,
+        static_cast<std::size_t>(topo.trees()), budget,
         clock.active() ? &clock : nullptr,
-        [&](int lane, std::size_t ti, std::uint64_t& b) {
+        [&](std::size_t ti, std::uint64_t& b) {
           --b;
           const TreeId t =
               clock.ranked() ? ranked[ti] : static_cast<TreeId>(ti);
@@ -167,12 +160,11 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
             }
           }
           if (capacity < request.nodes) return false;
-          Allocation& out = alloc_for(lane);
-          out.clear();
-          out.job = request.id;
-          out.requested_nodes = request.nodes;
-          if (fill_from_tree(state, t, request.nodes, &out)) return true;
-          out.clear();
+          a.clear();
+          a.job = request.id;
+          a.requested_nodes = request.nodes;
+          if (fill_from_tree(state, t, request.nodes, &a)) return true;
+          a.clear();
           return false;
         });
     if (stats != nullptr) {
@@ -181,7 +173,7 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
       stats->deadline_expired = stats->deadline_expired || r.expired;
       if (clock.ranked()) stats->slack_ns = clock.slack_ns();
     }
-    if (r.winner >= 0) return std::move(alloc_for(r.winner_lane));
+    if (r.winner >= 0) return a;
     return std::nullopt;
   }
 

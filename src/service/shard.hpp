@@ -74,9 +74,8 @@ struct ShardOptions {
 class ShardSet {
  public:
   /// `allocators` has either one entry (shared by every cluster — safe
-  /// only because allocators are const and stateless per call, but
-  /// search-thread pools serialize, so per-cluster instances are the
-  /// performant choice) or exactly `clusters` entries.
+  /// because allocators are const and stateless per call) or exactly
+  /// `clusters` entries.
   ShardSet(const FatTree& topo, std::vector<const Allocator*> allocators,
            const SimConfig& config, ShardOptions options);
   ~ShardSet();

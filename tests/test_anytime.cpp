@@ -1,15 +1,16 @@
-// Anytime deadline-bounded placement search (core/parallel_search.hpp):
+// Anytime deadline-bounded placement search (core/candidate_scan.hpp):
 // determinism guards and soundness guards.
 //
 // The contract under test has three legs. (1) An inactive or abort-only
 // AllocBudget must be bit-identical to the historical exhaustive scan —
-// same placement, same step ledger — sequential or parallel. (2) A real
+// same placement, same step ledger. (2) A real
 // deadline may trade placement quality and hit rate but never soundness:
 // anything allocate() returns under any deadline must still pass
 // ClusterState::can_apply and, for the isolating schemes, the full §3.2
-// condition checks. (3) The v2 ranked shape tables serve exactly the
-// quality-descending permutations the runtime ranker computes, and a
-// corrupt permutation is rejected at load, never served.
+// condition checks. (3) The shape tables serve exactly the
+// quality-descending permutations the runtime ranker computes, a corrupt
+// permutation is rejected at load, never served, and so is a table in
+// the retired version-1 format that carries no permutations.
 
 #include <gtest/gtest.h>
 
@@ -25,11 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "core/candidate_scan.hpp"
 #include "core/conditions.hpp"
 #include "core/jigsaw_allocator.hpp"
 #include "core/laas.hpp"
 #include "core/lc.hpp"
-#include "core/parallel_search.hpp"
 #include "core/shape_table.hpp"
 #include "core/shapes.hpp"
 #include "core/ta.hpp"
@@ -38,16 +39,9 @@
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace jigsaw {
 namespace {
-
-std::string fmt17(double x) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", x);
-  return buf;
-}
 
 std::string temp_path(const char* tag) {
   return testing::TempDir() + "/anytime_" + tag + "_" +
@@ -86,12 +80,10 @@ JobId fragment(const Allocator& alloc, ClusterState& state, Rng& rng) {
 // it exercises the whole anytime plumbing — AnytimeClock construction,
 // scan_first_feasible's expiry gates, the per-probe clock threading — but
 // ranked() is false, so the candidate order stays canonical and the
-// budget-ledger replay applies. Placement and step count must match the
-// no-budget call exactly, at every thread count.
-TEST(Anytime, AbortOnlyBudgetMatchesExhaustiveAcrossThreads) {
+// step ledger is unchanged. Placement and step count must match the
+// no-budget call exactly.
+TEST(Anytime, AbortOnlyBudgetMatchesExhaustive) {
   const FatTree topo = FatTree::from_radix(16);
-  ThreadPool pool(4);
-  const SearchExec execs[] = {SearchExec{}, SearchExec{&pool, 4}};
 
   const JigsawAllocator jigsaw;
   const LaasAllocator laas;
@@ -109,80 +101,23 @@ TEST(Anytime, AbortOnlyBudgetMatchesExhaustiveAcrossThreads) {
     for (int trial = 0; trial < 24; ++trial) {
       const JobRequest req{next + trial, 1 + static_cast<int>(rng.below(20)),
                            1.0};
+      SCOPED_TRACE(base->name() + " trial " + std::to_string(trial));
       SearchStats want_stats;
       const auto want = base->allocate(state, req, &want_stats);
-      for (const SearchExec& exec : execs) {
-        SCOPED_TRACE(base->name() + " threads " +
-                     std::to_string(exec.threads) + " trial " +
-                     std::to_string(trial));
-        // allocate() is const but set_search_exec is not; clone per exec.
-        AllocatorPtr under = nullptr;
-        if (base == &jigsaw) under = std::make_unique<JigsawAllocator>();
-        if (base == &laas) under = std::make_unique<LaasAllocator>();
-        if (base == &lcs) {
-          under = std::make_unique<LeastConstrainedAllocator>(true);
-        }
-        if (base == &ta) under = std::make_unique<TaAllocator>();
-        under->set_search_exec(exec);
-
-        SearchStats got_stats;
-        const auto got = under->allocate(state, req, abort_only, &got_stats);
-        ASSERT_EQ(got.has_value(), want.has_value());
-        if (want.has_value()) {
-          EXPECT_EQ(got->nodes, want->nodes);
-          EXPECT_EQ(got->leaf_wires, want->leaf_wires);
-          EXPECT_EQ(got->l2_wires, want->l2_wires);
-        }
-        EXPECT_EQ(got_stats.steps, want_stats.steps);
-        EXPECT_EQ(got_stats.budget_exhausted, want_stats.budget_exhausted);
-        EXPECT_FALSE(got_stats.deadline_expired);
+      SearchStats got_stats;
+      const auto got = base->allocate(state, req, abort_only, &got_stats);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (want.has_value()) {
+        EXPECT_EQ(got->nodes, want->nodes);
+        EXPECT_EQ(got->leaf_wires, want->leaf_wires);
+        EXPECT_EQ(got->l2_wires, want->l2_wires);
       }
+      EXPECT_EQ(got_stats.steps, want_stats.steps);
+      EXPECT_EQ(got_stats.budget_exhausted, want_stats.budget_exhausted);
+      EXPECT_FALSE(got_stats.deadline_expired);
       // Grow the fragmentation as the trial sequence proceeds.
       if (want.has_value() && trial % 2 == 0) state.apply(*want);
     }
-  }
-}
-
-// Whole-simulation leg of the same guarantee: alloc_deadline_us = 0 (the
-// "infinite deadline") is the exhaustive default, bit-identical across
-// search-thread counts, grant for grant.
-TEST(Anytime, InfiniteDeadlineSimIsBitIdenticalAcrossThreads) {
-  Trace trace = named_synthetic("Synth-16", 800);
-  Rng rng(0xBADC0FFEEULL);
-  assign_bandwidth_classes(trace, rng);
-  const FatTree topo = FatTree::from_radix(16);
-  ThreadPool pool(4);
-
-  struct Run {
-    SimMetrics metrics;
-    std::vector<std::vector<NodeId>> grants;
-  };
-  auto run = [&](const SearchExec& exec) {
-    JigsawAllocator alloc;
-    alloc.set_search_exec(exec);
-    Run r;
-    SimConfig config;
-    config.alloc_deadline_us = 0;  // explicit: the exhaustive default
-    config.grant_audit = [&](double, const Allocation& a,
-                             const ClusterState&) {
-      r.grants.push_back(a.nodes);
-    };
-    r.metrics = simulate(topo, alloc, trace, config);
-    return r;
-  };
-
-  const Run seq = run(SearchExec{});
-  const Run par = run(SearchExec{&pool, 4});
-  EXPECT_EQ(fmt17(seq.metrics.steady_utilization),
-            fmt17(par.metrics.steady_utilization));
-  EXPECT_EQ(fmt17(seq.metrics.makespan), fmt17(par.metrics.makespan));
-  EXPECT_EQ(fmt17(seq.metrics.mean_turnaround_all),
-            fmt17(par.metrics.mean_turnaround_all));
-  EXPECT_EQ(seq.metrics.search_steps, par.metrics.search_steps);
-  EXPECT_EQ(seq.metrics.allocate_calls, par.metrics.allocate_calls);
-  ASSERT_EQ(seq.grants.size(), par.grants.size());
-  for (std::size_t i = 0; i < seq.grants.size(); ++i) {
-    ASSERT_EQ(seq.grants[i], par.grants[i]) << "grant " << i;
   }
 }
 
@@ -321,12 +256,12 @@ TEST(Anytime, RankedOrdersAreQualityDescendingPermutations) {
 TEST(Anytime, RankedTableRoundTripServesRankedOrders) {
   const FatTree topo = FatTree::from_radix(8);
   const std::string path = temp_path("ranked");
-  write_file(path, ShapeTable::serialize(topo, /*ranked=*/true));
+  const std::string bytes = ShapeTable::serialize(topo);
+  write_file(path, bytes);
 
   std::string error;
   const auto table = ShapeTable::load(path, &error);
   ASSERT_NE(table, nullptr) << error;
-  ASSERT_TRUE(table->has_ranked());
   for (int n = 1; n <= topo.total_nodes(); ++n) {
     const auto want2 = ranked_two_level_order(two_level_shapes(n, topo));
     const auto got2 = table->two_level_ranked(n);
@@ -355,23 +290,15 @@ TEST(Anytime, RankedTableRoundTripServesRankedOrders) {
   EXPECT_TRUE(std::equal(table_seq.begin(), table_seq.end(),
                          runtime_seq.begin()));
 
-  // A v1 (unranked) file still loads — has_ranked() false, ranked spans
-  // empty, and the serving layer silently recomputes at runtime.
+  // A v1 header (version field at offset 8) is refused: the retired
+  // format carried no ranked permutations.
   clear_shape_tables();
+  std::string v1_bytes = bytes;
+  v1_bytes[8] = 1;
   const std::string v1_path = temp_path("v1");
-  write_file(v1_path, ShapeTable::serialize(topo));
-  const auto v1 = ShapeTable::load(v1_path, &error);
-  ASSERT_NE(v1, nullptr) << error;
-  EXPECT_FALSE(v1->has_ranked());
-  EXPECT_TRUE(v1->two_level_ranked(10).empty());
-  install_shape_table(v1);
-  reset_shape_serve_counters();
-  const auto fallback = two_level_ranked_seq(10, topo);
-  EXPECT_FALSE(fallback.table_backed());
-  EXPECT_EQ(shape_serve_counters().ranked_runtime, 1u);
-  ASSERT_EQ(fallback.size(), runtime_seq.size());
-  EXPECT_TRUE(std::equal(fallback.begin(), fallback.end(),
-                         runtime_seq.begin()));
+  write_file(v1_path, v1_bytes);
+  EXPECT_EQ(ShapeTable::load(v1_path, &error), nullptr);
+  EXPECT_NE(error.find("version 1"), std::string::npos) << error;
 
   clear_shape_tables();
   std::remove(path.c_str());
@@ -380,7 +307,7 @@ TEST(Anytime, RankedTableRoundTripServesRankedOrders) {
 
 TEST(Anytime, RankedTableCorruptPermutationRejected) {
   const FatTree topo = FatTree::from_radix(8);
-  std::string bytes = ShapeTable::serialize(topo, /*ranked=*/true);
+  std::string bytes = ShapeTable::serialize(topo);
 
   // Locate the first rank2 entry: header (40 B), both index arrays, then
   // the two shape pools; clobber it to an out-of-range value and re-seal

@@ -140,8 +140,7 @@ TEST(ShapeTable, CorruptTruncatedAndMismatchedFilesFailCleanly) {
   std::mt19937_64 rng(0xC0221071ULL);
 
   // Version mismatch: bump the version field (offset 8) past the known
-  // versions (1 canonical, 2 ranked) — must name the versions in the
-  // error.
+  // version (2) — must name the version in the error.
   {
     std::string bytes = good;
     bytes[8] = 3;

@@ -7,7 +7,8 @@
 // with %.17g from the pre-rewrite library (and re-verified against the
 // rewritten one) on Synth-16 at 800 jobs; EXPECT_DOUBLE_EQ demands the
 // exact same bits back, and search_steps/allocate_calls pin the
-// decision sequence, not just the aggregate outcome.
+// decision sequence, not just the aggregate outcome. A second golden runs
+// the same five schemes at 2000 jobs and demands exact equality.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,43 @@ TEST(TxnEquivalence, Figure6Synth16GoldenMetrics) {
     EXPECT_DOUBLE_EQ(m.steady_utilization, g.steady_utilization);
     EXPECT_DOUBLE_EQ(m.makespan, g.makespan);
     EXPECT_DOUBLE_EQ(m.mean_turnaround_all, g.mean_turnaround_all);
+    EXPECT_EQ(m.search_steps, g.search_steps);
+    EXPECT_EQ(m.allocate_calls, g.allocate_calls);
+  }
+}
+
+// The longer companion of the 800-job golden: all five schemes on
+// Synth-16 at 2000 jobs, constants dumped with %.17g (which round-trips
+// a double exactly, so EXPECT_EQ compares bits).
+TEST(TxnEquivalence, Synth16Golden2000Jobs) {
+  Trace trace = named_synthetic("Synth-16", 2000);
+  Rng rng(0xBADC0FFEEULL);
+  assign_bandwidth_classes(trace, rng);
+  const FatTree topo = FatTree::from_radix(16);
+
+  const BaselineAllocator baseline;
+  const LeastConstrainedAllocator lcs(true);
+  const JigsawAllocator jigsaw;
+  const LaasAllocator laas;
+  const TaAllocator ta;
+  const Golden goldens[] = {
+      {baseline, 0.98848489293726394, 50972.627913662196, 24738.700639499279,
+       3227630, 114521},
+      {lcs, 0.95733164553366179, 52720.457253746245, 25122.045235523306,
+       2153967, 114434},
+      {jigsaw, 0.95387521249130025, 52987.266386010502, 24783.906333569212,
+       473151, 114560},
+      {laas, 0.90562891769691156, 55766.359690644669, 26160.731744023666,
+       384288, 114790},
+      {ta, 0.86383506990582326, 58256.486995265703, 27573.175480554226,
+       2463403, 114392},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.alloc.name());
+    const SimMetrics m = simulate(topo, g.alloc, trace, SimConfig{});
+    EXPECT_EQ(m.steady_utilization, g.steady_utilization);
+    EXPECT_EQ(m.makespan, g.makespan);
+    EXPECT_EQ(m.mean_turnaround_all, g.mean_turnaround_all);
     EXPECT_EQ(m.search_steps, g.search_steps);
     EXPECT_EQ(m.allocate_calls, g.allocate_calls);
   }

@@ -33,23 +33,6 @@ int verify(const std::string& path) {
   const FatTree topo(table->m1(), table->m2(), table->m3());
   std::uint64_t two = 0, three = 0;
   for (int n = 1; n <= table->total_nodes(); ++n) {
-    if (table->has_ranked()) {
-      const auto t2r = table->two_level_ranked(n);
-      const auto r2r = ranked_two_level_order(two_level_shapes(n, topo));
-      if (!std::equal(t2r.begin(), t2r.end(), r2r.begin(), r2r.end())) {
-        std::cerr << "FAIL: two-level ranked-order mismatch at n=" << n
-                  << "\n";
-        return 1;
-      }
-      const auto t3r = table->three_level_ranked(n);
-      const auto r3r =
-          ranked_three_level_order(three_level_shapes(n, topo, true));
-      if (!std::equal(t3r.begin(), t3r.end(), r3r.begin(), r3r.end())) {
-        std::cerr << "FAIL: three-level ranked-order mismatch at n=" << n
-                  << "\n";
-        return 1;
-      }
-    }
     const auto t2 = table->two_level(n);
     const auto r2 = two_level_shapes(n, topo);
     if (!std::equal(t2.begin(), t2.end(), r2.begin(), r2.end(),
@@ -74,15 +57,28 @@ int verify(const std::string& path) {
       std::cerr << "FAIL: three-level mismatch at n=" << n << "\n";
       return 1;
     }
+    const auto t2r = table->two_level_ranked(n);
+    const auto r2r = ranked_two_level_order(r2);
+    if (!std::equal(t2r.begin(), t2r.end(), r2r.begin(), r2r.end())) {
+      std::cerr << "FAIL: two-level ranked-order mismatch at n=" << n << "\n";
+      return 1;
+    }
+    const auto t3r = table->three_level_ranked(n);
+    const auto r3r = ranked_three_level_order(r3);
+    if (!std::equal(t3r.begin(), t3r.end(), r3r.begin(), r3r.end())) {
+      std::cerr << "FAIL: three-level ranked-order mismatch at n=" << n
+                << "\n";
+      return 1;
+    }
     two += t2.size();
     three += t3.size();
   }
   std::cout << "OK: " << path << " (m1=" << table->m1()
             << " m2=" << table->m2() << " m3=" << table->m3() << ", "
             << table->total_nodes() << " sizes, " << two
-            << " two-level + " << three << " three-level records"
-            << (table->has_ranked() ? ", ranked orders" : "") << ", "
-            << table->bytes() << " bytes) matches runtime enumeration\n";
+            << " two-level + " << three << " three-level records, ranked "
+            << "orders, " << table->bytes()
+            << " bytes) matches runtime enumeration\n";
   return 0;
 }
 
@@ -95,8 +91,6 @@ int main(int argc, char** argv) {
   flags.define("out", "write the table to this path", "");
   flags.define("verify", "load this table and re-check every sequence "
                "against runtime enumeration instead of writing", "");
-  flags.define_bool("ranked", "also emit the quality-descending probe "
-                    "orders (format v2) used by deadline-bounded search");
   try {
     if (!flags.parse(argc, argv)) return 0;
     if (!flags.str("verify").empty()) return verify(flags.str("verify"));
@@ -108,8 +102,7 @@ int main(int argc, char** argv) {
     }
     const FatTree topo =
         FatTree::from_radix(static_cast<int>(flags.integer("radix")));
-    const std::string bytes =
-        ShapeTable::serialize(topo, flags.boolean("ranked"));
+    const std::string bytes = ShapeTable::serialize(topo);
     std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
     if (!out || !out.write(bytes.data(),
                            static_cast<std::streamsize>(bytes.size()))) {
@@ -118,8 +111,7 @@ int main(int argc, char** argv) {
     }
     out.close();
     std::cout << "wrote " << out_path << " (" << bytes.size()
-              << (flags.boolean("ranked") ? " bytes, ranked" : " bytes")
-              << ", m1=" << topo.nodes_per_leaf()
+              << " bytes, m1=" << topo.nodes_per_leaf()
               << " m2=" << topo.leaves_per_tree() << " m3=" << topo.trees()
               << ", sizes 1.." << topo.total_nodes() << ")\n";
     return 0;
