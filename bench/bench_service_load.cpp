@@ -104,7 +104,9 @@ double pct(const SortedSamples& sorted, double p) {
 struct RunOutcome {
   std::size_t accepted = 0;
   std::size_t rejected = 0;
-  double throughput = 0.0;  ///< submits/second over the load phase
+  /// Submits/second over the load phase; 0 on per-shard rows, whose
+  /// shards share one load window and so have no rate of their own.
+  double throughput = 0.0;
   double ack_p50 = 0.0, ack_p99 = 0.0, ack_p999 = 0.0;  ///< seconds
   double grant_p50 = 0.0, grant_p99 = 0.0, grant_p999 = 0.0;
   double drain_seconds = 0.0;
@@ -381,10 +383,6 @@ ShardedOutcome run_sharded(const RunSpec& spec, int clusters, int shards) {
     RunOutcome& r = out.per_shard[static_cast<std::size_t>(s)];
     out.total.accepted += r.accepted;
     out.total.rejected += r.rejected;
-    r.throughput =
-        load_seconds > 0.0
-            ? static_cast<double>(r.accepted + r.rejected) / load_seconds
-            : 0.0;
     const SortedSamples acks(
         std::move(shard_acks[static_cast<std::size_t>(s)]));
     r.ack_p50 = pct(acks, 50.0);
@@ -415,7 +413,8 @@ ShardedOutcome run_sharded(const RunSpec& spec, int clusters, int shards) {
 /// Table row for one run. `obs` is "off" or "on"; `overhead.pct` is the
 /// throughput cost of that run relative to `baseline_throughput`, and 0
 /// when the baseline is 0 or the run is the baseline itself. Only the
-/// --obs-compare "on" row has a baseline that means something.
+/// --obs-compare "on" row has a baseline that means something. A run
+/// with no rate of its own (a per-shard row) prints `-` as its rate.
 std::vector<std::string> outcome_row(const std::string& trace_name,
                                      int clients, const std::string& shards,
                                      const std::string& obs,
@@ -432,7 +431,7 @@ std::vector<std::string> outcome_row(const std::string& trace_name,
           obs,
           std::to_string(r.accepted),
           std::to_string(r.rejected),
-          TablePrinter::fmt(r.throughput, 0),
+          r.throughput > 0.0 ? TablePrinter::fmt(r.throughput, 0) : "-",
           TablePrinter::fmt(overhead, 2),
           TablePrinter::fmt(r.ack_p50 * 1e6, 1),
           TablePrinter::fmt(r.ack_p99 * 1e6, 1),

@@ -5,7 +5,7 @@
 // as the raw JSON line the daemon sent, so the output is scriptable —
 // scripts/service_smoke.sh and the CI job build on it.
 //
-//   $ ./jigsaw_client --connect unix:/tmp/jigsaw.sock --op submit \
+//   $ ./jigsaw_client --connect unix:/tmp/jigsaw.sock --op submit
 //       --nodes 32 --runtime 600
 //   {"ok":true,"job":0,"arrival":0}
 //   $ ./jigsaw_client --op status --job 0

@@ -9,9 +9,9 @@
 // marker — finishes the run with metrics bit-identical to an
 // uninterrupted one (scripts/service_smoke.sh exercises exactly that).
 //
-//   $ ./jigsaw_daemon --radix 16 --listen unix:/tmp/jigsaw.sock \
+//   $ ./jigsaw_daemon --radix 16 --listen unix:/tmp/jigsaw.sock
 //       --wal /tmp/jigsaw.wal --wal-sync always
-//   $ ./jigsaw_client --connect unix:/tmp/jigsaw.sock --op submit \
+//   $ ./jigsaw_client --connect unix:/tmp/jigsaw.sock --op submit
 //       --nodes 32 --runtime 600
 //
 // SIGINT/SIGTERM stop the reactor via the self-pipe (async-signal-safe),

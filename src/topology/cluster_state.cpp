@@ -6,6 +6,20 @@
 
 namespace jigsaw {
 
+namespace {
+
+/// Bit i set when vals[i] >= threshold (IEEE >=, so NaN never passes).
+/// Precondition: n <= 64. The residual-bandwidth mask fill.
+Mask mask_ge_rows(const double* vals, std::size_t n, double threshold) {
+  Mask out = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (vals[i] >= threshold) out |= Mask{1} << i;
+  }
+  return out;
+}
+
+}  // namespace
+
 ClusterState::ClusterState(const FatTree& topo, double usable_bandwidth)
     : topo_(&topo),
       usable_bandwidth_(usable_bandwidth),
@@ -245,8 +259,8 @@ Mask ClusterState::leaf_up_with_bandwidth(LeafId l, double demand) const {
   }
   const std::size_t w2 = static_cast<std::size_t>(topo_->l2_per_tree());
   return free &
-         simd::mask_ge_rows(&residual_leaf_up_[static_cast<std::size_t>(l) * w2],
-                            w2, threshold);
+         mask_ge_rows(&residual_leaf_up_[static_cast<std::size_t>(l) * w2], w2,
+                      threshold);
 }
 
 Mask ClusterState::l2_up_with_bandwidth(TreeId t, int l2_index,
@@ -259,7 +273,7 @@ Mask ClusterState::l2_up_with_bandwidth(TreeId t, int l2_index,
   const std::size_t l2 =
       static_cast<std::size_t>(t * topo_->l2_per_tree() + l2_index);
   const std::size_t sp = static_cast<std::size_t>(topo_->spines_per_group());
-  return free & simd::mask_ge_rows(&residual_l2_up_[l2 * sp], sp, threshold);
+  return free & mask_ge_rows(&residual_l2_up_[l2 * sp], sp, threshold);
 }
 
 const char* ClusterState::check_apply(const Allocation& a) const {

@@ -11,8 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/simd.hpp"
-
 namespace jigsaw {
 
 using Mask = std::uint64_t;
@@ -59,18 +57,23 @@ constexpr bool subset_of(Mask a, Mask b) { return (a & ~b) == 0; }
 // L2 switch or per leaf). The resource arrays ClusterState keeps are
 // free/healthy pairs, so the kernels take two rows and combine them with
 // AND — the same composition every free_* query performs one word at a
-// time. The bodies live in util/simd.hpp behind a one-time runtime
-// dispatch (scalar reference / AVX2 / AVX-512); every level is
-// bit-identical, so callers are oblivious to which one runs.
+// time. They are plain loops: hand-written AVX2/AVX-512 versions measured
+// no faster end to end. What does matter is that popcount is one
+// instruction, so on x86-64 the library builds with -mpopcnt
+// (src/CMakeLists.txt); without it std::popcount is a libgcc call.
 
 /// AND-reduce of a[i] & b[i] over n words. Identity for n == 0.
 inline Mask and_reduce_rows(const Mask* a, const Mask* b, std::size_t n) {
-  return simd::and_reduce_rows(a, b, n);
+  Mask m = ~Mask{0};
+  for (std::size_t i = 0; i < n; ++i) m &= a[i] & b[i];
+  return m;
 }
 
 /// Sum of popcount(a[i] & b[i]) over n words.
 inline int popcount_and_rows(const Mask* a, const Mask* b, std::size_t n) {
-  return simd::popcount_and_rows(a, b, n);
+  int total = 0;
+  for (std::size_t i = 0; i < n; ++i) total += popcount(a[i] & b[i]);
+  return total;
 }
 
 /// out[i] = a[i] & b[i] for all n words; true when every intersection
@@ -79,7 +82,12 @@ inline int popcount_and_rows(const Mask* a, const Mask* b, std::size_t n) {
 /// branch-free.
 inline bool and_rows_viable(const Mask* a, const Mask* b, Mask* out,
                             std::size_t n, int need) {
-  return simd::and_rows_viable(a, b, out, n, need);
+  bool viable = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = a[i] & b[i];
+    viable &= popcount(out[i]) >= need;
+  }
+  return viable;
 }
 
 }  // namespace jigsaw

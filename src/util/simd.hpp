@@ -1,448 +1,25 @@
-// Runtime-dispatched SIMD kernels for the mask hot loops.
-//
-// The batch kernels in bitset64.hpp and the residual-bandwidth mask
-// fills in ClusterState walk parallel arrays of 64-bit words (one word
-// per L2 switch / leaf / spine group). At production radix (k=48/64, up
-// to 32 words per row) the scalar word-at-a-time loops leave 4-8x lanes
-// on the table, so each kernel here has three implementations:
-//
-//   kScalar  — the reference; byte-for-byte the historical loops.
-//   kAvx2    — 4 words per step (VPAND + SSSE3 nibble-LUT popcount).
-//   kAvx512  — 8 words per step (AVX-512F + VPOPCNTDQ), masked tails.
-//
-// The level is resolved exactly once per process from CPUID, clamped by
-// the JIGSAW_SIMD environment variable (scalar | avx2 | avx512 — the CI
-// matrix forces `scalar` to keep the reference path tested), and read
-// through a relaxed atomic so tests can pin a level at runtime
-// (set_active_level) without racing the search pool. Every level is
-// bit-identical by construction — the vector paths compute the same
-// ANDs, popcounts and >= compares, only wider — and tests/test_simd.cpp
-// fuzzes them against kScalar on random rows, lengths and alignments.
+// Names the instruction set the mask kernels are built for, for host
+// records in benchmark results. The kernels themselves are plain loops in
+// util/bitset64.hpp; on x86-64 the library compiles with -mpopcnt
+// (src/CMakeLists.txt), so every popcount is one POPCNT instruction.
 
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
-#include <cstdlib>
-#include <string_view>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define JIGSAW_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define JIGSAW_SIMD_X86 0
-#endif
-
 namespace jigsaw::simd {
 
-enum class Level : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+enum class Level : int { kScalar = 0, kPopcnt = 1 };
 
-inline const char* level_name(Level level) {
-  switch (level) {
-    case Level::kAvx512: return "avx512";
-    case Level::kAvx2: return "avx2";
-    default: return "scalar";
-  }
-}
-
-inline bool parse_level(std::string_view text, Level* out) {
-  if (text == "scalar") *out = Level::kScalar;
-  else if (text == "avx2") *out = Level::kAvx2;
-  else if (text == "avx512") *out = Level::kAvx512;
-  else return false;
-  return true;
-}
-
-/// Best level the CPU supports (ignores JIGSAW_SIMD).
-inline Level detected_level() {
-#if JIGSAW_SIMD_X86
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vpopcntdq")) {
-    return Level::kAvx512;
-  }
-  if (__builtin_cpu_supports("avx2")) return Level::kAvx2;
-#endif
+/// The level this build targets (fixed at compile time).
+constexpr Level active_level() {
+#ifdef __POPCNT__
+  return Level::kPopcnt;
+#else
   return Level::kScalar;
-}
-
-namespace detail {
-
-inline Level initial_level() {
-  Level level = detected_level();
-  if (const char* env = std::getenv("JIGSAW_SIMD")) {
-    Level requested;
-    if (parse_level(env, &requested) && requested < level) level = requested;
-  }
-  return level;
-}
-
-inline std::atomic<int>& level_storage() {
-  static std::atomic<int> storage{static_cast<int>(initial_level())};
-  return storage;
-}
-
-// ---- scalar reference ------------------------------------------------
-
-inline std::uint64_t and_reduce_rows_scalar(const std::uint64_t* a,
-                                            const std::uint64_t* b,
-                                            std::size_t n) {
-  std::uint64_t m = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < n; ++i) m &= a[i] & b[i];
-  return m;
-}
-
-inline int popcount_and_rows_scalar(const std::uint64_t* a,
-                                    const std::uint64_t* b, std::size_t n) {
-  int total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += __builtin_popcountll(a[i] & b[i]);
-  }
-  return total;
-}
-
-inline bool and_rows_viable_scalar(const std::uint64_t* a,
-                                   const std::uint64_t* b, std::uint64_t* out,
-                                   std::size_t n, int need) {
-  bool viable = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = a[i] & b[i];
-    viable &= __builtin_popcountll(out[i]) >= need;
-  }
-  return viable;
-}
-
-inline std::uint64_t mask_ge_rows_scalar(const double* vals, std::size_t n,
-                                         double threshold) {
-  std::uint64_t out = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (vals[i] >= threshold) out |= std::uint64_t{1} << i;
-  }
-  return out;
-}
-
-#if JIGSAW_SIMD_X86
-
-// ---- AVX2 ------------------------------------------------------------
-
-/// Per-64-bit-lane popcount (Mula's nibble-LUT + SAD reduction).
-__attribute__((target("avx2"))) inline __m256i popcount64_avx2(__m256i v) {
-  const __m256i lookup =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-  const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lookup, lo),
-                                         _mm256_shuffle_epi8(lookup, hi));
-  return _mm256_sad_epu8(counts, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t and_reduce_rows_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  __m256i acc = _mm256_set1_epi64x(-1);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_and_si256(acc, _mm256_and_si256(va, vb));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::uint64_t m = lanes[0] & lanes[1] & lanes[2] & lanes[3];
-  for (; i < n; ++i) m &= a[i] & b[i];
-  return m;
-}
-
-__attribute__((target("avx2"))) inline int popcount_and_rows_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    acc = _mm256_add_epi64(acc, popcount64_avx2(_mm256_and_si256(va, vb)));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int total = static_cast<int>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  for (; i < n; ++i) total += __builtin_popcountll(a[i] & b[i]);
-  return total;
-}
-
-__attribute__((target("avx2"))) inline bool and_rows_viable_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
-    std::size_t n, int need) {
-  const __m256i need_v = _mm256_set1_epi64x(need);
-  bool viable = true;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const __m256i x = _mm256_and_si256(va, vb);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), x);
-    // A lane fails when need > popcount(x); both sides are tiny
-    // non-negative values, so the signed 64-bit compare is exact.
-    const __m256i short_lanes =
-        _mm256_cmpgt_epi64(need_v, popcount64_avx2(x));
-    viable &= _mm256_testz_si256(short_lanes, short_lanes) != 0;
-  }
-  for (; i < n; ++i) {
-    out[i] = a[i] & b[i];
-    viable &= __builtin_popcountll(out[i]) >= need;
-  }
-  return viable;
-}
-
-__attribute__((target("avx2"))) inline std::uint64_t mask_ge_rows_avx2(
-    const double* vals, std::size_t n, double threshold) {
-  const __m256d t = _mm256_set1_pd(threshold);
-  std::uint64_t out = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d v = _mm256_loadu_pd(vals + i);
-    const int m = _mm256_movemask_pd(_mm256_cmp_pd(v, t, _CMP_GE_OQ));
-    out |= static_cast<std::uint64_t>(m) << i;
-  }
-  for (; i < n; ++i) {
-    if (vals[i] >= threshold) out |= std::uint64_t{1} << i;
-  }
-  return out;
-}
-
-// ---- AVX-512 (F + VPOPCNTDQ) ----------------------------------------
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline std::uint64_t
-and_reduce_rows_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t n) {
-  __m512i acc = _mm512_set1_epi64(-1);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_and_si512(acc, _mm512_and_si512(va, vb));
-  }
-  if (i < n) {
-    const __mmask8 tail =
-        static_cast<__mmask8>((1u << (n - i)) - 1u);
-    // Masked-off lanes read as all-ones: neutral under AND.
-    const __m512i ones = _mm512_set1_epi64(-1);
-    const __m512i va = _mm512_mask_loadu_epi64(ones, tail, a + i);
-    const __m512i vb = _mm512_mask_loadu_epi64(ones, tail, b + i);
-    acc = _mm512_and_si512(acc, _mm512_and_si512(va, vb));
-  }
-  // Explicit store+reduce: _mm512_reduce_and_epi64 expands through
-  // _mm256_undefined_si256 and trips -Wuninitialized under -Wall.
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, acc);
-  std::uint64_t m = ~std::uint64_t{0};
-  for (const std::uint64_t lane : lanes) m &= lane;
-  return m;
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline int
-popcount_and_rows_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                         std::size_t n) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  if (i < n) {
-    const __mmask8 tail =
-        static_cast<__mmask8>((1u << (n - i)) - 1u);
-    // Masked-off lanes read as zero: neutral under popcount-sum.
-    const __m512i va = _mm512_maskz_loadu_epi64(tail, a + i);
-    const __m512i vb = _mm512_maskz_loadu_epi64(tail, b + i);
-    acc = _mm512_add_epi64(acc,
-                           _mm512_popcnt_epi64(_mm512_and_si512(va, vb)));
-  }
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, acc);
-  std::uint64_t total = 0;
-  for (const std::uint64_t lane : lanes) total += lane;
-  return static_cast<int>(total);
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline bool
-and_rows_viable_avx512(const std::uint64_t* a, const std::uint64_t* b,
-                       std::uint64_t* out, std::size_t n, int need) {
-  const __m512i need_v = _mm512_set1_epi64(need);
-  bool viable = true;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i x = _mm512_and_si512(_mm512_loadu_si512(a + i),
-                                       _mm512_loadu_si512(b + i));
-    _mm512_storeu_si512(out + i, x);
-    const __mmask8 ge =
-        _mm512_cmpge_epi64_mask(_mm512_popcnt_epi64(x), need_v);
-    viable &= ge == 0xff;
-  }
-  if (i < n) {
-    const __mmask8 tail =
-        static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512i x = _mm512_and_si512(_mm512_maskz_loadu_epi64(tail, a + i),
-                                       _mm512_maskz_loadu_epi64(tail, b + i));
-    _mm512_mask_storeu_epi64(out + i, tail, x);
-    const __mmask8 ge =
-        _mm512_cmpge_epi64_mask(_mm512_popcnt_epi64(x), need_v);
-    viable &= (ge & tail) == tail;
-  }
-  return viable;
-}
-
-__attribute__((target("avx512f,avx512vpopcntdq"))) inline std::uint64_t
-mask_ge_rows_avx512(const double* vals, std::size_t n, double threshold) {
-  const __m512d t = _mm512_set1_pd(threshold);
-  std::uint64_t out = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512d v = _mm512_loadu_pd(vals + i);
-    const __mmask8 m = _mm512_cmp_pd_mask(v, t, _CMP_GE_OQ);
-    out |= static_cast<std::uint64_t>(m) << i;
-  }
-  if (i < n) {
-    const __mmask8 tail =
-        static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512d v = _mm512_maskz_loadu_pd(tail, vals + i);
-    const __mmask8 m = _mm512_mask_cmp_pd_mask(tail, v, t, _CMP_GE_OQ);
-    out |= static_cast<std::uint64_t>(m) << i;
-  }
-  return out;
-}
-
-#endif  // JIGSAW_SIMD_X86
-
-}  // namespace detail
-
-/// Dispatch level in effect (CPUID clamped by JIGSAW_SIMD; resolved once).
-inline Level active_level() {
-  return static_cast<Level>(
-      detail::level_storage().load(std::memory_order_relaxed));
-}
-
-/// Pin the dispatch level at runtime (clamped to what the CPU supports).
-/// Test hook for the per-level golden runs; call it only while no search
-/// pool is in flight.
-inline void set_active_level(Level level) {
-  if (level > detected_level()) level = detected_level();
-  detail::level_storage().store(static_cast<int>(level),
-                                std::memory_order_relaxed);
-}
-
-// ---- per-level entry points (fuzz-test surface) ----------------------
-
-inline std::uint64_t and_reduce_rows_at(Level level, const std::uint64_t* a,
-                                        const std::uint64_t* b,
-                                        std::size_t n) {
-#if JIGSAW_SIMD_X86
-  if (level == Level::kAvx512) return detail::and_reduce_rows_avx512(a, b, n);
-  if (level == Level::kAvx2) return detail::and_reduce_rows_avx2(a, b, n);
-#else
-  (void)level;
 #endif
-  return detail::and_reduce_rows_scalar(a, b, n);
 }
 
-inline int popcount_and_rows_at(Level level, const std::uint64_t* a,
-                                const std::uint64_t* b, std::size_t n) {
-#if JIGSAW_SIMD_X86
-  if (level == Level::kAvx512) {
-    return detail::popcount_and_rows_avx512(a, b, n);
-  }
-  if (level == Level::kAvx2) return detail::popcount_and_rows_avx2(a, b, n);
-#else
-  (void)level;
-#endif
-  return detail::popcount_and_rows_scalar(a, b, n);
-}
-
-inline bool and_rows_viable_at(Level level, const std::uint64_t* a,
-                               const std::uint64_t* b, std::uint64_t* out,
-                               std::size_t n, int need) {
-#if JIGSAW_SIMD_X86
-  if (level == Level::kAvx512) {
-    return detail::and_rows_viable_avx512(a, b, out, n, need);
-  }
-  if (level == Level::kAvx2) {
-    return detail::and_rows_viable_avx2(a, b, out, n, need);
-  }
-#else
-  (void)level;
-#endif
-  return detail::and_rows_viable_scalar(a, b, out, n, need);
-}
-
-inline std::uint64_t mask_ge_rows_at(Level level, const double* vals,
-                                     std::size_t n, double threshold) {
-#if JIGSAW_SIMD_X86
-  if (level == Level::kAvx512) {
-    return detail::mask_ge_rows_avx512(vals, n, threshold);
-  }
-  if (level == Level::kAvx2) return detail::mask_ge_rows_avx2(vals, n, threshold);
-#else
-  (void)level;
-#endif
-  return detail::mask_ge_rows_scalar(vals, n, threshold);
-}
-
-// ---- dispatched kernels (the hot-path surface) -----------------------
-
-/// Rows shorter than this run the scalar loop at every dispatch level:
-/// the vector paths carry fixed setup cost (LUT broadcasts, lane
-/// reductions) that exceeds the scalar cost at the small radixes
-/// (radix 16 has 8-word rows), while production radixes (k=48: 24-word
-/// rows) clear it easily. Results are bit-identical either way — this
-/// trades nothing but time, and the *_at entry points below bypass the
-/// cutoff so tests can still force a level at any width.
-inline constexpr std::size_t kSmallRowCutoff = 16;
-
-/// AND-reduce of a[i] & b[i] over n words. Identity for n == 0.
-inline std::uint64_t and_reduce_rows(const std::uint64_t* a,
-                                     const std::uint64_t* b, std::size_t n) {
-  if (n < kSmallRowCutoff) {
-    return detail::and_reduce_rows_scalar(a, b, n);
-  }
-  return and_reduce_rows_at(active_level(), a, b, n);
-}
-
-/// Sum of popcount(a[i] & b[i]) over n words.
-inline int popcount_and_rows(const std::uint64_t* a, const std::uint64_t* b,
-                             std::size_t n) {
-  if (n < kSmallRowCutoff) {
-    return detail::popcount_and_rows_scalar(a, b, n);
-  }
-  return popcount_and_rows_at(active_level(), a, b, n);
-}
-
-/// out[i] = a[i] & b[i] for all n words; true when every intersection
-/// keeps at least `need` bits. `out` is fully written even on a false
-/// return.
-inline bool and_rows_viable(const std::uint64_t* a, const std::uint64_t* b,
-                            std::uint64_t* out, std::size_t n, int need) {
-  if (n < kSmallRowCutoff) {
-    return detail::and_rows_viable_scalar(a, b, out, n, need);
-  }
-  return and_rows_viable_at(active_level(), a, b, out, n, need);
-}
-
-/// Bit i set when vals[i] >= threshold (IEEE >=, so NaN never passes).
-/// Precondition: n <= 64. The residual-bandwidth mask fill.
-inline std::uint64_t mask_ge_rows(const double* vals, std::size_t n,
-                                  double threshold) {
-  if (n < kSmallRowCutoff) {
-    return detail::mask_ge_rows_scalar(vals, n, threshold);
-  }
-  return mask_ge_rows_at(active_level(), vals, n, threshold);
+constexpr const char* level_name(Level level) {
+  return level == Level::kPopcnt ? "popcnt" : "scalar";
 }
 
 }  // namespace jigsaw::simd

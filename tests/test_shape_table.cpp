@@ -1,8 +1,7 @@
 // Precomputed shape tables (core/shape_table.hpp): golden equivalence
 // with the runtime enumerators at every (k, n), clean rejection of
 // corrupt/truncated/mismatched files, transparent runtime fallback, and
-// bit-identical SimMetrics with tables on vs off at every SIMD dispatch
-// level the host supports.
+// bit-identical SimMetrics with tables on vs off.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,6 @@
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace jigsaw {
 namespace {
@@ -215,10 +213,9 @@ TEST(ShapeTable, InstallPathsStopsAtFirstBadFile) {
 
 // Bit-identical decisions: for every scheme, SimMetrics with the shape
 // table installed must equal the runtime-enumeration metrics down to the
-// last bit (%.17g-equivalent via EXPECT_DOUBLE_EQ), at every SIMD
-// dispatch level the host supports. ctest runs this TEST in its own
-// process, so the global table registry and dispatch level reset with it.
-TEST(ShapeTable, GoldenSimMetricsInvariantAcrossTableAndSimdLevels) {
+// last bit (%.17g-equivalent via EXPECT_DOUBLE_EQ). ctest runs this TEST
+// in its own process, so the global table registry resets with it.
+TEST(ShapeTable, GoldenSimMetricsInvariantAcrossTables) {
   Trace trace = named_synthetic("Synth-16", 400);
   Rng rng(0xBADC0FFEEULL);
   assign_bandwidth_classes(trace, rng);
@@ -234,22 +231,14 @@ TEST(ShapeTable, GoldenSimMetricsInvariantAcrossTableAndSimdLevels) {
   const TaAllocator ta;
   const Allocator* allocators[] = {&baseline, &lcs, &jigsaw, &laas, &ta};
 
-  std::vector<simd::Level> levels = {simd::Level::kScalar};
-  if (simd::detected_level() >= simd::Level::kAvx2) {
-    levels.push_back(simd::Level::kAvx2);
-  }
-  if (simd::detected_level() >= simd::Level::kAvx512) {
-    levels.push_back(simd::Level::kAvx512);
-  }
-
-  const simd::Level level_before = simd::active_level();
   for (const Allocator* alloc : allocators) {
-    // Reference: scalar kernels, runtime enumeration.
+    // Reference: runtime enumeration.
     clear_shape_tables();
-    simd::set_active_level(simd::Level::kScalar);
     const SimMetrics want = simulate(topo, *alloc, trace, SimConfig{});
 
     for (const bool with_table : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << alloc->name() << " table=" << with_table);
       clear_shape_tables();
       if (with_table) {
         std::string error;
@@ -257,23 +246,16 @@ TEST(ShapeTable, GoldenSimMetricsInvariantAcrossTableAndSimdLevels) {
         ASSERT_NE(table, nullptr) << error;
         install_shape_table(std::move(table));
       }
-      for (const simd::Level level : levels) {
-        SCOPED_TRACE(testing::Message()
-                     << alloc->name() << " table=" << with_table
-                     << " level=" << simd::level_name(level));
-        simd::set_active_level(level);
-        const SimMetrics got = simulate(topo, *alloc, trace, SimConfig{});
-        EXPECT_DOUBLE_EQ(got.steady_utilization, want.steady_utilization);
-        EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
-        EXPECT_DOUBLE_EQ(got.mean_turnaround_all, want.mean_turnaround_all);
-        EXPECT_DOUBLE_EQ(got.mean_wait, want.mean_wait);
-        EXPECT_EQ(got.completed, want.completed);
-        EXPECT_EQ(got.allocate_calls, want.allocate_calls);
-        EXPECT_EQ(got.search_steps, want.search_steps);
-      }
+      const SimMetrics got = simulate(topo, *alloc, trace, SimConfig{});
+      EXPECT_DOUBLE_EQ(got.steady_utilization, want.steady_utilization);
+      EXPECT_DOUBLE_EQ(got.makespan, want.makespan);
+      EXPECT_DOUBLE_EQ(got.mean_turnaround_all, want.mean_turnaround_all);
+      EXPECT_DOUBLE_EQ(got.mean_wait, want.mean_wait);
+      EXPECT_EQ(got.completed, want.completed);
+      EXPECT_EQ(got.allocate_calls, want.allocate_calls);
+      EXPECT_EQ(got.search_steps, want.search_steps);
     }
   }
-  simd::set_active_level(level_before);
   clear_shape_tables();
   std::remove(path.c_str());
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "util/bitset64.hpp"
 #include "util/cli.hpp"
@@ -35,6 +36,29 @@ TEST(Bitset64, SubsetOf) {
   EXPECT_TRUE(subset_of(0b0101, 0b1101));
   EXPECT_FALSE(subset_of(0b0111, 0b1101));
   EXPECT_TRUE(subset_of(0, 0));
+}
+
+TEST(Bitset64, RowKernels) {
+  EXPECT_EQ(and_reduce_rows(nullptr, nullptr, 0), ~Mask{0});
+  EXPECT_EQ(popcount_and_rows(nullptr, nullptr, 0), 0);
+  EXPECT_TRUE(and_rows_viable(nullptr, nullptr, nullptr, 0, 64));
+
+  const std::vector<Mask> ones(9, ~Mask{0});
+  std::vector<Mask> out(9, 0);
+  EXPECT_EQ(and_reduce_rows(ones.data(), ones.data(), 9), ~Mask{0});
+  EXPECT_EQ(popcount_and_rows(ones.data(), ones.data(), 9), 9 * 64);
+  EXPECT_TRUE(and_rows_viable(ones.data(), ones.data(), out.data(), 9, 64));
+  EXPECT_FALSE(and_rows_viable(ones.data(), ones.data(), out.data(), 9, 65));
+
+  // The first word already fails; every later word is still written.
+  std::vector<Mask> a(9), b(9);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = low_bits(static_cast<int>(i) * 7);
+    b[i] = ~Mask{0} << i;
+  }
+  out.assign(9, 0xABABABABABABABABULL);
+  EXPECT_FALSE(and_rows_viable(a.data(), b.data(), out.data(), 9, 1));
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(out[i], a[i] & b[i]);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
