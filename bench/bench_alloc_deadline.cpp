@@ -10,8 +10,8 @@
 //
 // Reproduction target (shape): at a 100 us deadline the allocate() p99
 // stays within ~1.2x the deadline while Jigsaw's utilization stays within
-// one percentage point of the exhaustive run — the quality-descending
-// probe order makes the first feasible candidate the best-known one, so
+// one percentage point of the exhaustive run — the best-fit-first probe
+// order makes the first feasible candidate the best-known one, so
 // cutting the tail of the scan costs latency tails, not schedule quality.
 
 #include <sstream>
@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
                "means exhaustive (no deadline)",
                "25,50,100,250,1000,5000,0");
   if (!flags.parse(argc, argv)) return 0;
-  // Precomputed shape tables (JIGSAW_SHAPE_TABLE=path[:path...]) carry
-  // the ranked probe orders; without them the deadline path falls back
-  // to ranking at runtime (decisions identical, serving cost higher).
+  // Precomputed shape tables (JIGSAW_SHAPE_TABLE=path[:path...]) serve
+  // the shape sequences; without them the allocators enumerate at
+  // runtime (decisions identical, serving cost higher).
   std::string table_error;
   const std::size_t shape_tables =
       install_shape_tables_from_env(&table_error);
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
   obs_setup.finish();
   std::cout << "\nShape: p99_alloc_us tracks the deadline (within ~1.2x at "
                "100 us) while util_pct stays within ~1pp of the inf row — "
-               "quality-descending probing trades scan tails, not "
+               "best-fit-first probing trades scan tails, not "
                "placements.\n";
   return 0;
 }

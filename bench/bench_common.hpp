@@ -156,7 +156,7 @@ inline void define_deadline_flag(CliFlags& flags) {
   flags.define("alloc-deadline-us",
                "anytime placement-search deadline per allocate() call, "
                "microseconds (0 = exhaustive, the bit-identical default). "
-               "With a deadline, candidates probe quality-descending and "
+               "With a deadline, candidates probe best fit first and "
                "the best feasible placement found by expiry commits.",
                "0");
 }

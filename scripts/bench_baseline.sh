@@ -17,8 +17,8 @@
 # scripts/check_service_load_regression.py (50% tolerance — end-to-end
 # service throughput is noisier than the allocator microbenches).
 #
-# Finally runs bench_alloc_deadline's Synth-48 deadline sweep (v2 ranked
-# shape tables installed) and rewrites BENCH_alloc_deadline.json; the
+# Finally runs bench_alloc_deadline's Synth-48 deadline sweep (k=48 shape
+# table installed) and rewrites BENCH_alloc_deadline.json; the
 # committed file must satisfy scripts/check_deadline_regression.py at
 # its strict defaults (allocate() p99 within 1.2x the 100 us deadline,
 # Jigsaw utilization within 1 pp of the exhaustive row) — CI re-checks

@@ -12,7 +12,7 @@ exhaustive reference row (deadline_us == "inf") and the gate row
   * quality (Jigsaw rows only, the scheme the acceptance criterion
     names): steady-state utilization on the gate row must stay within
     UTIL_PP percentage points (default 1.0) of the exhaustive row —
-    the quality-descending probe order means cutting the scan tail
+    the best-fit-first probe order means cutting the scan tail
     costs latency, not placements.
 
 Rows at other deadlines are printed for the frontier but not gated:

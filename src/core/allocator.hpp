@@ -31,7 +31,7 @@ struct SearchStats {
   bool budget_exhausted = false; ///< search gave up at its step budget
   std::uint64_t probes = 0;      ///< candidate probes across all passes
   bool anytime = false;          ///< an active AllocBudget bounded the call
-  bool deadline_expired = false; ///< the deadline/abort cut the scan short
+  bool deadline_expired = false; ///< the deadline cut the scan short
   /// Remaining deadline headroom when the call returned (negative once
   /// blown); only meaningful when anytime with a real deadline.
   std::int64_t slack_ns = 0;
@@ -72,7 +72,7 @@ class Allocator {
   /// Find a placement for the request. Does not modify `state`; returns
   /// std::nullopt when the policy admits no placement right now. An
   /// inactive `budget` (the default) runs the exact exhaustive scan;
-  /// with deadline_ns > 0 the scan turns anytime — quality-descending
+  /// with deadline_ns > 0 the scan turns anytime — best-fit-first
   /// candidate order, best feasible placement committed at expiry (see
   /// core/candidate_scan.hpp). Either way the returned Allocation, if
   /// any, satisfies the scheme's full isolation conditions: a deadline

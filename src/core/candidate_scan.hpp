@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -23,17 +22,10 @@ namespace jigsaw {
 /// Latency budget for one allocate() call. Default-constructed it is
 /// inactive and every scheme runs its exact exhaustive scan (the
 /// bit-identical golden-pinned path). With deadline_ns > 0 the search
-/// turns anytime: candidates are probed in quality-descending order and
-/// the best feasible placement found so far is committed when the
-/// deadline expires. `abort` is a cooperative kill switch (the
-/// PerfectClearNET pattern): when non-null and set, the scan stops at
-/// the next check without changing the candidate order, so an abort
-/// flag that never fires keeps results bit-identical to the default.
+/// turns anytime: it watches the clock as it scans and commits the best
+/// feasible placement found so far when the deadline expires.
 struct AllocBudget {
-  std::int64_t deadline_ns = 0;          ///< 0 = no deadline
-  const std::atomic<bool>* abort = nullptr;
-
-  bool active() const { return deadline_ns > 0 || abort != nullptr; }
+  std::int64_t deadline_ns = 0;  ///< 0 = no deadline
 };
 
 /// One allocate() call's view of its AllocBudget: the start timestamp is
@@ -44,14 +36,9 @@ class AnytimeClock {
  public:
   explicit AnytimeClock(const AllocBudget& budget)
       : deadline_ns_(budget.deadline_ns),
-        abort_(budget.abort),
         start_(std::chrono::steady_clock::now()) {}
 
-  bool active() const { return deadline_ns_ > 0 || abort_ != nullptr; }
-  /// Quality-descending candidate order engages only under a real
-  /// deadline. An abort-only budget keeps the canonical order so that a
-  /// flag that never fires is bit-identical to no budget at all.
-  bool ranked() const { return deadline_ns_ > 0; }
+  bool active() const { return deadline_ns_ > 0; }
 
   std::int64_t elapsed_ns() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -61,18 +48,12 @@ class AnytimeClock {
   /// Remaining time under the deadline; negative once blown. 0 when no
   /// deadline is set.
   std::int64_t slack_ns() const {
-    return deadline_ns_ > 0 ? deadline_ns_ - elapsed_ns() : 0;
+    return active() ? deadline_ns_ - elapsed_ns() : 0;
   }
-  bool expired() const {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return deadline_ns_ > 0 && elapsed_ns() >= deadline_ns_;
-  }
+  bool expired() const { return active() && elapsed_ns() >= deadline_ns_; }
 
  private:
   std::int64_t deadline_ns_;
-  const std::atomic<bool>* abort_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -89,41 +70,41 @@ inline bool anytime_interrupt(const AnytimeClock* clock,
          clock->expired();
 }
 
-/// Result of one candidate scan. `winner` is a *scan position* (the
-/// caller maps positions to candidate indices — identity in canonical
-/// order, a ranked permutation in anytime mode), so in quality-descending
-/// order the first feasible position is the best-fitting feasible
+/// Result of one candidate scan. Callers probe best fit first, so under
+/// a deadline the winning position is the best-fitting feasible
 /// candidate seen before expiry.
 struct CandidateScan {
   std::ptrdiff_t winner = -1;  ///< winning scan position, -1 none
   bool exhausted = false;      ///< scan hit the step budget
-  bool expired = false;        ///< deadline/abort cut the scan short
+  bool expired = false;        ///< the deadline cut the scan short
   std::uint64_t probes = 0;    ///< candidate probes charged to the scan
 };
 
 /// Scan positions [0, count) in order and stop at the first feasible
-/// one. `probe(pos, budget)` decrements `budget` per search step, returns
-/// feasibility, and on success leaves the winning payload where the
-/// caller can read it. `budget` is the phase's running step budget; a
-/// probe that drains it to zero ends the scan as exhausted.
+/// one. `probe(pos, budget, clock)` decrements `budget` per search step,
+/// returns feasibility, and on success leaves the winning payload where
+/// the caller can read it. `budget` is the phase's running step budget;
+/// a probe that drains it to zero ends the scan as exhausted.
 ///
-/// With a null or inactive clock this is the plain exhaustive loop. With
-/// an active clock the scan checks expiry between probes (and, via the
-/// clock the probe threads into its find_* call, within long probes);
-/// position 0 is always probed to completion so even a 1ns deadline
-/// returns a verdict on the top-ranked candidate.
+/// With a null or inactive clock this is the plain exhaustive loop and
+/// every probe receives a null clock. With an active clock the scan
+/// checks expiry between probes and hands each probe after the first the
+/// clock, which it threads into its find_* call to cut long probes short.
+/// Position 0 always receives null and runs to completion, so even a 1ns
+/// deadline returns a verdict on the first candidate.
 template <typename Probe>
 CandidateScan scan_first_feasible(std::size_t count, std::uint64_t& budget,
                                   const AnytimeClock* clock, Probe&& probe) {
   CandidateScan result;
-  const bool anytime = clock != nullptr && clock->active();
+  if (clock != nullptr && !clock->active()) clock = nullptr;
   for (std::size_t i = 0; i < count; ++i) {
-    if (anytime && i > 0 && clock->expired()) {
+    const AnytimeClock* probe_clock = i > 0 ? clock : nullptr;
+    if (probe_clock != nullptr && probe_clock->expired()) {
       result.expired = true;
       return result;
     }
     ++result.probes;
-    if (probe(i, budget)) {
+    if (probe(i, budget, probe_clock)) {
       result.winner = static_cast<std::ptrdiff_t>(i);
       return result;
     }

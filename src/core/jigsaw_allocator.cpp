@@ -1,29 +1,9 @@
 #include "core/jigsaw_allocator.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "core/search.hpp"
 #include "core/shape_table.hpp"
 
 namespace jigsaw {
-
-namespace {
-
-/// Trees ordered best-fit (fewest free nodes first): packing small jobs
-/// into already-busy subtrees keeps other subtrees whole for the
-/// three-level placements that large jobs require.
-std::vector<TreeId> trees_best_fit(const ClusterState& state) {
-  const FatTree& topo = state.topo();
-  std::vector<TreeId> order(static_cast<std::size_t>(topo.trees()));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](TreeId a, TreeId b) {
-    return state.tree_free_nodes(a) < state.tree_free_nodes(b);
-  });
-  return order;
-}
-
-}  // namespace
 
 std::optional<Allocation> JigsawAllocator::allocate(
     const ClusterState& state, const JobRequest& request,
@@ -100,14 +80,12 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
   // One clock for the whole call: the deadline bounds both passes
   // together, not each pass separately.
   const AnytimeClock clock(latency);
-  const bool anytime = clock.active();
-  const AnytimeClock* scan_clock = anytime ? &clock : nullptr;
   auto record = [&](bool exhausted) {
     if (stats != nullptr) {
       stats->steps += step_budget_ - budget;
       stats->budget_exhausted = stats->budget_exhausted || exhausted;
-      stats->anytime = stats->anytime || anytime;
-      if (clock.ranked()) stats->slack_ns = clock.slack_ns();
+      stats->anytime = stats->anytime || clock.active();
+      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
   };
   auto fold = [&](const CandidateScan& r) {
@@ -116,77 +94,48 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
       stats->deadline_expired = stats->deadline_expired || r.expired;
     }
   };
-  // Long probes check the clock internally; position 0 runs unclocked so
-  // the top-ranked candidate always gets a full verdict.
-  auto probe_clock = [&](std::size_t pos) -> const AnytimeClock* {
-    return (anytime && pos > 0) ? &clock : nullptr;
-  };
 
   // Pass 1: single-subtree (two-level) allocations, densest shape first,
-  // fullest subtree first. The candidate order is the flat (shape-major,
-  // tree-minor) product of the two nested loops this pass used to run.
-  // In ranked (anytime) mode the shape axis is permuted quality-descending
-  // — fewest leaves touched first — so the scan's min-position winner is
-  // the best-fitting feasible placement; the tree axis keeps its best-fit
-  // order, which is already quality-descending.
-  const std::vector<TreeId> tree_order = trees_best_fit(state);
+  // fullest subtree first. Both orders are best fit first, so under a
+  // deadline the first feasible pair is the best-fitting one reached.
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
-  const auto rank2 = clock.ranked()
-                         ? two_level_ranked_seq(request.nodes, topo)
-                         : ShapeSeq<std::uint32_t>({});
   {
-    const std::size_t n_trees = tree_order.size();
-    auto shape_at = [&](std::size_t pos) -> std::size_t {
-      const std::size_t s = pos / n_trees;
-      return clock.ranked() ? rank2[s] : s;
-    };
     TwoLevelPick pick;
-    const CandidateScan r = scan_first_feasible(
-        shapes2.size() * n_trees, budget, scan_clock,
-        [&](std::size_t pos, std::uint64_t& b) {
-          return find_two_level(state, view, shapes2[shape_at(pos)],
-                                tree_order[pos % n_trees], b, &pick,
-                                probe_clock(pos));
-        });
+    const CandidateScan r = scan_two_level(
+        state, view, shapes2.span(), trees_best_fit(state), budget, &clock,
+        &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
-      const std::size_t w = static_cast<std::size_t>(r.winner);
-      return materialize(state, shapes2[shape_at(w)], pick, request.id,
-                         request.nodes, 0.0);
+      return materialize(state, shapes2[static_cast<std::size_t>(r.winner)],
+                         pick, request.id, request.nodes, 0.0);
     }
     if (r.exhausted) {
       record(true);
       return std::nullopt;
     }
     // On expiry with no two-level winner, still give pass 2 its shot:
-    // its scan always probes the top-ranked candidate, so a head job
-    // that *needs* a cross-subtree placement cannot starve under a tiny
+    // its scan always probes its first candidate, so a head job that
+    // *needs* a cross-subtree placement cannot starve under a tiny
     // deadline — the overrun is bounded at one extra probe.
   }
 
-  // Pass 2: cross-subtree allocations with the whole-leaf restriction.
+  // Pass 2: cross-subtree allocations with the whole-leaf restriction,
+  // fewest subtrees first.
   const auto shapes3 =
       three_level_shape_seq(request.nodes, topo, /*restrict_full_leaves=*/true);
-  const auto rank3 = clock.ranked()
-                         ? three_level_ranked_seq(request.nodes, topo)
-                         : ShapeSeq<std::uint32_t>({});
   {
-    auto shape_at = [&](std::size_t pos) -> std::size_t {
-      return clock.ranked() ? rank3[pos] : pos;
-    };
     ThreeLevelPick pick;
     const CandidateScan r = scan_first_feasible(
-        shapes3.size(), budget, scan_clock,
-        [&](std::size_t pos, std::uint64_t& b) {
-          return find_three_level_full_leaves(state, view, shapes3[shape_at(pos)],
-                                              b, &pick, probe_clock(pos));
+        shapes3.size(), budget, &clock,
+        [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
+          return find_three_level_full_leaves(state, view, shapes3[pos], b,
+                                              &pick, c);
         });
     fold(r);
     if (r.winner >= 0) {
       record(false);
-      return materialize(state,
-                         shapes3[shape_at(static_cast<std::size_t>(r.winner))],
+      return materialize(state, shapes3[static_cast<std::size_t>(r.winner)],
                          pick, request.id, request.nodes, 0.0);
     }
     if (r.exhausted) {

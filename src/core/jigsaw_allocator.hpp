@@ -59,8 +59,8 @@ class JigsawAllocator final : public Allocator {
   /// The two-pass probe loop, parameterized over the availability lens
   /// so allocate() (live view) and diagnose() (links-unconstrained view)
   /// share one search.
-  /// An active `latency` turns both passes anytime (quality-descending
-  /// shape order, best feasible committed at expiry).
+  /// An active `latency` turns both passes anytime (same canonical
+  /// order, best feasible committed at expiry).
   std::optional<Allocation> search(const ClusterState& state,
                                    const LinkView& view,
                                    const JobRequest& request,

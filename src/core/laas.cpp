@@ -1,7 +1,6 @@
 #include "core/laas.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/search.hpp"
 #include "core/shape_table.hpp"
@@ -201,14 +200,12 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
 
   std::uint64_t budget = step_budget_;
   const AnytimeClock clock(latency);
-  const bool anytime = clock.active();
-  const AnytimeClock* scan_clock = anytime ? &clock : nullptr;
   auto record = [&](bool exhausted) {
     if (stats != nullptr) {
       stats->steps += step_budget_ - budget;
       stats->budget_exhausted = stats->budget_exhausted || exhausted;
-      stats->anytime = stats->anytime || anytime;
-      if (clock.ranked()) stats->slack_ns = clock.slack_ns();
+      stats->anytime = stats->anytime || clock.active();
+      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
   };
   auto fold = [&](const CandidateScan& r) {
@@ -217,44 +214,21 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
       stats->deadline_expired = stats->deadline_expired || r.expired;
     }
   };
-  auto probe_clock = [&](std::size_t pos) -> const AnytimeClock* {
-    return (anytime && pos > 0) ? &clock : nullptr;
-  };
 
   // Single-subtree allocations first: LaaS's native two-level conditions
   // (shared with Jigsaw) place exact node counts — no rounding. Fullest
   // subtree first, keeping whole subtrees available for spanning jobs.
-  std::vector<TreeId> tree_order(static_cast<std::size_t>(m3));
-  std::iota(tree_order.begin(), tree_order.end(), 0);
-  std::stable_sort(tree_order.begin(), tree_order.end(),
-                   [&](TreeId a, TreeId b) {
-                     return state.tree_free_nodes(a) <
-                            state.tree_free_nodes(b);
-                   });
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
-  const auto rank2 = clock.ranked()
-                         ? two_level_ranked_seq(request.nodes, topo)
-                         : ShapeSeq<std::uint32_t>({});
   {
-    const std::size_t n_trees = tree_order.size();
-    auto shape_at = [&](std::size_t pos) -> std::size_t {
-      const std::size_t s = pos / n_trees;
-      return clock.ranked() ? rank2[s] : s;
-    };
     TwoLevelPick pick;
-    const CandidateScan r = scan_first_feasible(
-        shapes2.size() * n_trees, budget, scan_clock,
-        [&](std::size_t pos, std::uint64_t& b) {
-          return find_two_level(state, view, shapes2[shape_at(pos)],
-                                tree_order[pos % n_trees], b, &pick,
-                                probe_clock(pos));
-        });
+    const CandidateScan r = scan_two_level(
+        state, view, shapes2.span(), trees_best_fit(state), budget, &clock,
+        &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
-      const std::size_t w = static_cast<std::size_t>(r.winner);
-      return materialize(state, shapes2[shape_at(w)], pick, request.id,
-                         request.nodes, 0.0);
+      return materialize(state, shapes2[static_cast<std::size_t>(r.winner)],
+                         pick, request.id, request.nodes, 0.0);
     }
     if (r.exhausted) {
       record(true);
@@ -265,15 +239,14 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
   // Multi-subtree: spread R leaves evenly, densest decomposition first.
   // Candidate k is the leaf-spread width c = cmax - k; the width screens
   // cost no search steps, so they fold into the probe as step-free
-  // rejections exactly as the old `continue`s did. The canonical width
-  // order (widest c first — fewest subtrees touched) is already
-  // quality-descending, so the anytime scan keeps the identity order.
+  // rejections exactly as the old `continue`s did. Widest c first
+  // touches the fewest subtrees, so this order is best fit first too.
   {
     const int cmax = std::min(leaves_needed, m2);
     Allocation a;
     const CandidateScan r = scan_first_feasible(
-        cmax > 0 ? static_cast<std::size_t>(cmax) : 0, budget, scan_clock,
-        [&](std::size_t k, std::uint64_t& b) {
+        cmax > 0 ? static_cast<std::size_t>(cmax) : 0, budget, &clock,
+        [&](std::size_t k, std::uint64_t& b, const AnytimeClock* k_clock) {
           const int c = cmax - static_cast<int>(k);
           const int q = leaves_needed / c;
           const int cr = leaves_needed % c;
@@ -281,7 +254,7 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
           if (q + (cr > 0 ? 1 : 0) > m3) return false;
 
           LaasCtx ctx{&state, &view, c,  q,       cr,     {},
-                      {},     {},    &b, nullptr, probe_clock(k)};
+                      {},     {},    &b, nullptr, k_clock};
           for (TreeId t = 0; t < m3; ++t) {
             if (free_leaves(state, view, t, c).empty()) continue;
             const Mask bundles = free_bundles(view, t);

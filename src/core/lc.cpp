@@ -13,6 +13,20 @@ namespace {
 
 constexpr std::size_t kMaxSolutionsPerTree = 32;
 
+/// Anytime fit score for the general three-level family, lower = better:
+/// fewest subtrees touched (spine pressure), then fewest leaves touched
+/// (uplinks), then densest leaves. Its canonical order (nL-major) is not
+/// best fit first, so a deadline-bounded scan probes it sorted by this.
+std::uint64_t three_level_shape_cost(const ThreeLevelShape& shape) {
+  const std::uint64_t leaves =
+      static_cast<std::uint64_t>(shape.full_trees) * shape.leaves_per_tree +
+      shape.rem_full_leaves + (shape.rem_leaf_nodes > 0 ? 1 : 0);
+  return (static_cast<std::uint64_t>(shape.trees_touched()) << 40) |
+         (leaves << 16) |
+         static_cast<std::uint32_t>(
+             (1u << 16) - static_cast<std::uint32_t>(shape.nodes_per_leaf));
+}
+
 /// One FIND_ALL_L2 result: LT leaves of a subtree whose available-uplink
 /// masks intersect in `m` (|m| >= nL). Solutions are deduplicated by mask —
 /// two leaf sets with the same intersection are interchangeable for the
@@ -370,14 +384,12 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
                                      : LinkView{&state, demand};
   std::uint64_t budget = step_budget_;
   const AnytimeClock clock(latency);
-  const bool anytime = clock.active();
-  const AnytimeClock* scan_clock = anytime ? &clock : nullptr;
   auto record = [&](bool exhausted) {
     if (stats != nullptr) {
       stats->steps += step_budget_ - budget;
       stats->budget_exhausted = stats->budget_exhausted || exhausted;
-      stats->anytime = stats->anytime || anytime;
-      if (clock.ranked()) stats->slack_ns = clock.slack_ns();
+      stats->anytime = stats->anytime || clock.active();
+      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
   };
   auto fold = [&](const CandidateScan& r) {
@@ -386,35 +398,19 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
       stats->deadline_expired = stats->deadline_expired || r.expired;
     }
   };
-  auto probe_clock = [&](std::size_t pos) -> const AnytimeClock* {
-    return (anytime && pos > 0) ? &clock : nullptr;
-  };
 
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   {
-    const std::size_t n_trees = static_cast<std::size_t>(topo.trees());
+    std::vector<TreeId> trees(static_cast<std::size_t>(topo.trees()));
+    std::iota(trees.begin(), trees.end(), 0);
     TwoLevelPick pick;
-    // Under a deadline, probe shapes quality-descending (fewest leaves
-    // touched first) so the min-position winner is the best-known fit.
-    const auto rank2 = clock.ranked() ? two_level_ranked_seq(request.nodes, topo)
-                                      : ShapeSeq<std::uint32_t>({});
-    auto shape_at = [&](std::size_t pos) {
-      const std::size_t s = pos / n_trees;
-      return clock.ranked() ? static_cast<std::size_t>(rank2[s]) : s;
-    };
-    const CandidateScan r = scan_first_feasible(
-        shapes2.size() * n_trees, budget, scan_clock,
-        [&](std::size_t pos, std::uint64_t& b) {
-          return find_two_level(state, view, shapes2[shape_at(pos)],
-                                static_cast<TreeId>(pos % n_trees), b, &pick,
-                                probe_clock(pos));
-        });
+    const CandidateScan r = scan_two_level(state, view, shapes2.span(), trees,
+                                           budget, &clock, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
-      const std::size_t w = static_cast<std::size_t>(r.winner);
-      return materialize(state, shapes2[shape_at(w)], pick, request.id,
-                         request.nodes, demand);
+      return materialize(state, shapes2[static_cast<std::size_t>(r.winner)],
+                         pick, request.id, request.nodes, demand);
     }
     if (r.exhausted) {
       record(true);
@@ -422,7 +418,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     }
     // On pass-1 expiry without a winner we still fall through: the general
     // three-level family may hold the only feasible placement, and every
-    // scan probes its top-ranked candidate unclocked, so the overrun is
+    // scan probes its first candidate unclocked, so the overrun is
     // bounded at one probe.
   }
 
@@ -449,10 +445,9 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     GeneralPick pick;
     const std::vector<Mask> all(static_cast<std::size_t>(topo.l2_per_tree()),
                                 low_bits(topo.spines_per_group()));
-    // The general (any nodes-per-leaf) family is never tabled, so its
-    // quality-descending permutation is built at runtime per call.
+    // Under a deadline, probe the general family best fit first.
     std::vector<std::uint32_t> rank3;
-    if (clock.ranked()) {
+    if (clock.active()) {
       rank3.resize(shapes3.size());
       std::iota(rank3.begin(), rank3.end(), 0u);
       std::stable_sort(rank3.begin(), rank3.end(),
@@ -462,11 +457,11 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
                        });
     }
     auto shape3_at = [&](std::size_t pos) {
-      return clock.ranked() ? static_cast<std::size_t>(rank3[pos]) : pos;
+      return clock.active() ? static_cast<std::size_t>(rank3[pos]) : pos;
     };
     const CandidateScan r = scan_first_feasible(
-        shapes3.size(), budget, scan_clock,
-        [&](std::size_t si, std::uint64_t& b) {
+        shapes3.size(), budget, &clock,
+        [&](std::size_t si, std::uint64_t& b, const AnytimeClock* c) {
           const ThreeLevelShape& shape = shapes3[shape3_at(si)];
           // Node-count feasibility screen: enough trees must hold enough
           // sufficiently-free leaves before any link search is worth
@@ -487,8 +482,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
             return false;
           }
 
-          L3Ctx ctx{&state, &view, shape, {}, {}, {}, {}, &b, nullptr,
-                    probe_clock(si)};
+          L3Ctx ctx{&state, &view, shape, {}, {}, {}, {}, &b, nullptr, c};
           for (TreeId t = 0; t < topo.trees(); ++t) {
             if (leaves_with_at_least(t, shape.nodes_per_leaf) <
                 shape.leaves_per_tree) {
@@ -496,8 +490,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
             }
             auto solutions = tree_solutions(state, view, t,
                                             shape.leaves_per_tree,
-                                            shape.nodes_per_leaf, b,
-                                            probe_clock(si));
+                                            shape.nodes_per_leaf, b, c);
             if (solutions.empty()) continue;
             ctx.cand_trees.push_back(t);
             ctx.cand_solutions.push_back(std::move(solutions));

@@ -55,8 +55,8 @@ class LeastConstrainedAllocator final : public Allocator {
   /// The probe loop shared by allocate() (live availability lens) and
   /// diagnose() (links-unconstrained).
   /// An active `latency` turns both passes anytime; the general
-  /// three-level family is never tabled, so its quality-descending order
-  /// is computed at runtime per call.
+  /// three-level family is then probed sorted best fit first, computed
+  /// per call (it is never tabled).
   std::optional<Allocation> search(const ClusterState& state, double demand,
                                    bool ignore_links,
                                    const JobRequest& request,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 namespace jigsaw {
@@ -137,6 +138,31 @@ bool find_two_level(const ClusterState& state, const LinkView& view,
   }
   ctx.chosen.reserve(static_cast<std::size_t>(shape.full_leaves));
   return recurse_two_level(ctx, 0, ~Mask{0});
+}
+
+std::vector<TreeId> trees_best_fit(const ClusterState& state) {
+  std::vector<TreeId> order(static_cast<std::size_t>(state.topo().trees()));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](TreeId a, TreeId b) {
+    return state.tree_free_nodes(a) < state.tree_free_nodes(b);
+  });
+  return order;
+}
+
+CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
+                             std::span<const TwoLevelShape> shapes,
+                             std::span<const TreeId> trees,
+                             std::uint64_t& budget, const AnytimeClock* clock,
+                             TwoLevelPick* pick) {
+  const std::size_t n_trees = trees.size();
+  CandidateScan r = scan_first_feasible(
+      shapes.size() * n_trees, budget, clock,
+      [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
+        return find_two_level(state, view, shapes[pos / n_trees],
+                              trees[pos % n_trees], b, pick, c);
+      });
+  if (r.winner >= 0) r.winner /= static_cast<std::ptrdiff_t>(n_trees);
+  return r;
 }
 
 namespace {

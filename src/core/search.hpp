@@ -10,9 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/candidate_scan.hpp"  // AnytimeClock
+#include "core/candidate_scan.hpp"
 #include "core/shapes.hpp"
 #include "topology/cluster_state.hpp"
 
@@ -135,6 +136,22 @@ bool find_two_level(const ClusterState& state, const LinkView& view,
                     const TwoLevelShape& shape, TreeId tree,
                     std::uint64_t& budget, TwoLevelPick* out,
                     const AnytimeClock* clock = nullptr);
+
+/// Trees best fit first: fewest free nodes, ties by ascending index.
+/// Packing small jobs into already-busy subtrees keeps other subtrees
+/// whole for the three-level placements that large jobs require.
+std::vector<TreeId> trees_best_fit(const ClusterState& state);
+
+/// The two-level pass shared by Jigsaw, LaaS and LC: scan the (shape,
+/// tree) pairs shape-major — `shapes` in their canonical best-fit-first
+/// order, `trees` in the caller's order — and stop at the first pair
+/// find_two_level() places. On a win `pick` holds the placement and the
+/// result's `winner` is the winning shape's index in `shapes`.
+CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
+                             std::span<const TwoLevelShape> shapes,
+                             std::span<const TreeId> trees,
+                             std::uint64_t& budget, const AnytimeClock* clock,
+                             TwoLevelPick* pick);
 
 /// Searches the whole machine for a placement of a whole-leaf three-level
 /// shape (shape.nodes_per_leaf must equal the topology's nodes-per-leaf).

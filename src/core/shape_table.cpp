@@ -20,9 +20,9 @@ namespace jigsaw {
 namespace {
 
 constexpr char kMagic[8] = {'J', 'G', 'S', 'W', 'S', 'H', 'T', '1'};
-/// Version 2 carries the per-size ranked permutations after pool3;
-/// version 1 (canonical pools only) is refused.
-constexpr std::uint32_t kVersion = 2;
+/// Version 3 holds the indexes and pools only. Versions 1 and 2 (which
+/// appended per-size probe permutations) are refused.
+constexpr std::uint32_t kVersion = 3;
 /// magic + version + m1..m3 + reserved + crc + payload length.
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 6 * 4 + 8;
 
@@ -50,7 +50,6 @@ std::string ShapeTable::serialize(const FatTree& topo) {
   idx3.reserve(static_cast<std::size_t>(total) + 1);
   std::vector<TwoLevelShape> pool2;
   std::vector<ThreeLevelShape> pool3;
-  std::vector<std::uint32_t> rank2, rank3;
   idx2.push_back(0);
   idx3.push_back(0);
   for (int n = 1; n <= total; ++n) {
@@ -62,17 +61,10 @@ std::string ShapeTable::serialize(const FatTree& topo) {
     const auto three = three_level_shapes(n, topo, /*restrict=*/true);
     pool3.insert(pool3.end(), three.begin(), three.end());
     idx3.push_back(pool3.size());
-    // Same contract as the pools: the rank arrays ARE the runtime
-    // ranking functions' output on the runtime enumerators' output.
-    const auto r2 = ranked_two_level_order(two);
-    rank2.insert(rank2.end(), r2.begin(), r2.end());
-    const auto r3 = ranked_three_level_order(three);
-    rank3.insert(rank3.end(), r3.begin(), r3.end());
   }
 
   std::string payload;
-  payload.reserve(16 * idx2.size() + 12 * pool2.size() + 20 * pool3.size() +
-                  4 * (rank2.size() + rank3.size()));
+  payload.reserve(16 * idx2.size() + 12 * pool2.size() + 20 * pool3.size());
   BufWriter w(payload);
   for (const std::uint64_t v : idx2) w.u64(v);
   for (const std::uint64_t v : idx3) w.u64(v);
@@ -88,8 +80,6 @@ std::string ShapeTable::serialize(const FatTree& topo) {
     w.u32(static_cast<std::uint32_t>(s.rem_full_leaves));
     w.u32(static_cast<std::uint32_t>(s.rem_leaf_nodes));
   }
-  for (const std::uint32_t v : rank2) w.u32(v);
-  for (const std::uint32_t v : rank3) w.u32(v);
 
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
@@ -179,7 +169,10 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
   }
   const std::uint64_t c2 = idx2[total];
   const std::uint64_t c3 = idx3[total];
-  if (payload_bytes != index_bytes + 16 * c2 + 24 * c3) {
+  // The counts come from the file: bound them before multiplying, or a
+  // huge count wraps the sum back to a plausible length.
+  if (c2 > payload_bytes || c3 > payload_bytes ||
+      payload_bytes != index_bytes + 12 * c2 + 20 * c3) {
     return report("pool length mismatch");
   }
   const char* pool2 = payload + index_bytes;
@@ -189,30 +182,6 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
           0) {
     return report("misaligned pool");
   }
-  // index_bytes is 8-aligned and both record sizes are multiples of 4,
-  // so the rank arrays land 4-aligned by construction.
-  const auto* rank2 = reinterpret_cast<const std::uint32_t*>(pool3 + 20 * c3);
-  const std::uint32_t* rank3 = rank2 + c2;
-  // Each size's rank span must be a permutation of [0, span length): an
-  // out-of-range or duplicated entry would silently skip candidate shapes
-  // in anytime mode, so a malformed file is refused outright.
-  std::vector<unsigned char> seen;
-  auto check = [&](const std::uint64_t* idx, const std::uint32_t* rank) {
-    for (std::uint64_t n = 0; n < total; ++n) {
-      const std::uint64_t span = idx[n + 1] - idx[n];
-      seen.assign(span, 0);
-      for (std::uint64_t p = 0; p < span; ++p) {
-        const std::uint32_t v = rank[idx[n] + p];
-        if (v >= span || seen[v]) return false;
-        seen[v] = 1;
-      }
-    }
-    return true;
-  };
-  if (!check(idx2, rank2) || !check(idx3, rank3)) {
-    return report("ranked permutation invalid");
-  }
-
   table->m1_ = static_cast<int>(m1);
   table->m2_ = static_cast<int>(m2);
   table->m3_ = static_cast<int>(m3);
@@ -221,8 +190,6 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
   table->idx3_ = idx3;
   table->pool2_ = reinterpret_cast<const TwoLevelShape*>(pool2);
   table->pool3_ = reinterpret_cast<const ThreeLevelShape*>(pool3);
-  table->rank2_ = rank2;
-  table->rank3_ = rank3;
   return table;
 }
 
@@ -240,19 +207,6 @@ std::span<const ThreeLevelShape> ShapeTable::three_level_restricted(
     int size) const {
   const auto n = static_cast<std::size_t>(size);
   return {pool3_ + idx3_[n - 1],
-          static_cast<std::size_t>(idx3_[n] - idx3_[n - 1])};
-}
-
-std::span<const std::uint32_t> ShapeTable::two_level_ranked(int size) const {
-  const auto n = static_cast<std::size_t>(size);
-  return {rank2_ + idx2_[n - 1],
-          static_cast<std::size_t>(idx2_[n] - idx2_[n - 1])};
-}
-
-std::span<const std::uint32_t> ShapeTable::three_level_ranked(
-    int size) const {
-  const auto n = static_cast<std::size_t>(size);
-  return {rank3_ + idx3_[n - 1],
           static_cast<std::size_t>(idx3_[n] - idx3_[n - 1])};
 }
 
@@ -275,7 +229,6 @@ std::atomic<std::uint64_t> g_registry_version{1};
 std::atomic<std::uint64_t> g_two_table{0}, g_two_runtime{0};
 std::atomic<std::uint64_t> g_three_table{0}, g_three_runtime{0};
 std::atomic<std::uint64_t> g_three_general{0};
-std::atomic<std::uint64_t> g_rank_table{0}, g_rank_runtime{0};
 
 void bump(std::atomic<std::uint64_t>& c) {
   c.fetch_add(1, std::memory_order_relaxed);
@@ -371,8 +324,6 @@ ShapeServeCounters shape_serve_counters() {
   c.three_level_runtime = g_three_runtime.load(std::memory_order_relaxed);
   c.three_level_general_runtime =
       g_three_general.load(std::memory_order_relaxed);
-  c.ranked_table = g_rank_table.load(std::memory_order_relaxed);
-  c.ranked_runtime = g_rank_runtime.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -382,8 +333,6 @@ void reset_shape_serve_counters() {
   g_three_table.store(0, std::memory_order_relaxed);
   g_three_runtime.store(0, std::memory_order_relaxed);
   g_three_general.store(0, std::memory_order_relaxed);
-  g_rank_table.store(0, std::memory_order_relaxed);
-  g_rank_runtime.store(0, std::memory_order_relaxed);
 }
 
 // ---- serving API ------------------------------------------------------
@@ -420,35 +369,6 @@ ShapeSeq<ThreeLevelShape> three_level_shape_seq(int size, const FatTree& topo,
   }
   bump(g_three_runtime);
   return ShapeSeq<ThreeLevelShape>(three_level_shapes(size, topo, true));
-}
-
-ShapeSeq<std::uint32_t> two_level_ranked_seq(int size, const FatTree& topo) {
-  if (size >= 1) {
-    if (auto table = find_shape_table(topo);
-        table != nullptr && size <= table->total_nodes()) {
-      bump(g_rank_table);
-      auto view = table->two_level_ranked(size);
-      return {view, std::move(table)};
-    }
-  }
-  bump(g_rank_runtime);
-  return ShapeSeq<std::uint32_t>(
-      ranked_two_level_order(two_level_shapes(size, topo)));
-}
-
-ShapeSeq<std::uint32_t> three_level_ranked_seq(int size,
-                                               const FatTree& topo) {
-  if (size >= 1) {
-    if (auto table = find_shape_table(topo);
-        table != nullptr && size <= table->total_nodes()) {
-      bump(g_rank_table);
-      auto view = table->three_level_ranked(size);
-      return {view, std::move(table)};
-    }
-  }
-  bump(g_rank_runtime);
-  return ShapeSeq<std::uint32_t>(
-      ranked_three_level_order(three_level_shapes(size, topo, true)));
 }
 
 }  // namespace jigsaw

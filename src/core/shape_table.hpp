@@ -10,8 +10,7 @@
 // File layout (little-endian, "JGSWSHT1"):
 //
 //   u8[8]  magic "JGSWSHT1"
-//   u32    version (= 2; version 1 files, without the ranked
-//          permutations, are refused)
+//   u32    version (= 3; any other version is refused)
 //   u32    m1, m2, m3        topology the table was built for
 //   u32    reserved (= 0)
 //   u32    crc32 over the payload (service/wal.hpp polynomial)
@@ -22,9 +21,6 @@
 //   i32x3  pool2[idx2[total]]      TwoLevelShape records
 //   i32x5  pool3[idx3[total]]      ThreeLevelShape records (whole-leaf
 //                                  family, Jigsaw's §4 restriction)
-//   u32    rank2[idx2[total]]      per-size quality-descending permutation
-//   u32    rank3[idx3[total]]      of the size's sub-list (entries are
-//                                  relative to the size's span)
 //
 // The record image equals the in-memory struct layout on little-endian
 // targets, which is what makes the spans zero-copy; the loader refuses
@@ -57,9 +53,7 @@ namespace jigsaw {
 class ShapeTable {
  public:
   /// Serialize the full table for `topo` (every size 1..total_nodes).
-  /// The pools are produced by the runtime enumerators themselves, and
-  /// so are the quality-descending permutations (ranked_two_level_order /
-  /// ranked_three_level_order per size) the anytime search probes in.
+  /// The pools are produced by the runtime enumerators themselves.
   static std::string serialize(const FatTree& topo);
 
   /// mmap `path` and validate frame, CRC and index structure. Returns
@@ -89,11 +83,6 @@ class ShapeTable {
   /// family — three_level_shapes(size, topo, true)).
   std::span<const ThreeLevelShape> three_level_restricted(int size) const;
 
-  /// Quality-descending permutation of two_level(size) — entry p is the
-  /// index (within the size's span) of the p-th best shape.
-  std::span<const std::uint32_t> two_level_ranked(int size) const;
-  std::span<const std::uint32_t> three_level_ranked(int size) const;
-
  private:
   ShapeTable() = default;
 
@@ -106,8 +95,6 @@ class ShapeTable {
   const std::uint64_t* idx3_ = nullptr;
   const TwoLevelShape* pool2_ = nullptr;
   const ThreeLevelShape* pool3_ = nullptr;
-  const std::uint32_t* rank2_ = nullptr;
-  const std::uint32_t* rank3_ = nullptr;
 };
 
 // ---- process-global table registry -----------------------------------
@@ -139,8 +126,6 @@ struct ShapeServeCounters {
   std::uint64_t three_level_table = 0;
   std::uint64_t three_level_runtime = 0;
   std::uint64_t three_level_general_runtime = 0;
-  std::uint64_t ranked_table = 0;    ///< anytime permutations, table-served
-  std::uint64_t ranked_runtime = 0;  ///< anytime permutations, computed
 };
 ShapeServeCounters shape_serve_counters();
 void reset_shape_serve_counters();
@@ -191,14 +176,5 @@ ShapeSeq<TwoLevelShape> two_level_shape_seq(int size, const FatTree& topo);
 /// family always enumerates at runtime.
 ShapeSeq<ThreeLevelShape> three_level_shape_seq(int size, const FatTree& topo,
                                                 bool restrict_full_leaves);
-
-/// ranked_two_level_order(two_level_shapes(size, topo)) — the anytime
-/// probe permutation. Zero-copy from a table when one is installed,
-/// recomputed from the canonical sequence otherwise (identical by the
-/// stable-sort contract either way).
-ShapeSeq<std::uint32_t> two_level_ranked_seq(int size, const FatTree& topo);
-
-/// Restricted-family three-level ranked permutation, same contract.
-ShapeSeq<std::uint32_t> three_level_ranked_seq(int size, const FatTree& topo);
 
 }  // namespace jigsaw

@@ -40,53 +40,4 @@ std::vector<ThreeLevelShape> three_level_shapes(int size, const FatTree& topo,
   return shapes;
 }
 
-std::uint64_t two_level_shape_cost(const TwoLevelShape& shape) {
-  // Primary: leaves touched (each extra leaf claims another uplink).
-  // Secondary: prefer denser leaves (larger nL), encoded inverted so
-  // lower cost = denser. nL is bounded by nodes_per_leaf << 2^16.
-  return (static_cast<std::uint64_t>(shape.leaves_touched()) << 32) |
-         static_cast<std::uint32_t>(
-             (1u << 16) - static_cast<std::uint32_t>(shape.nodes_per_leaf));
-}
-
-std::uint64_t three_level_shape_cost(const ThreeLevelShape& shape) {
-  const std::uint64_t leaves =
-      static_cast<std::uint64_t>(shape.full_trees) * shape.leaves_per_tree +
-      shape.rem_full_leaves + (shape.rem_leaf_nodes > 0 ? 1 : 0);
-  // Primary: subtrees touched (spine pressure). Secondary: total leaves
-  // (uplinks). Tertiary: denser leaves first.
-  return (static_cast<std::uint64_t>(shape.trees_touched()) << 40) |
-         (leaves << 16) |
-         static_cast<std::uint32_t>(
-             (1u << 16) - static_cast<std::uint32_t>(shape.nodes_per_leaf));
-}
-
-namespace {
-
-template <typename Shape, typename Cost>
-std::vector<std::uint32_t> ranked_order(const std::vector<Shape>& shapes,
-                                        Cost&& cost) {
-  std::vector<std::uint32_t> order(shapes.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<std::uint32_t>(i);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return cost(shapes[a]) < cost(shapes[b]);
-                   });
-  return order;
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> ranked_two_level_order(
-    const std::vector<TwoLevelShape>& shapes) {
-  return ranked_order(shapes, two_level_shape_cost);
-}
-
-std::vector<std::uint32_t> ranked_three_level_order(
-    const std::vector<ThreeLevelShape>& shapes) {
-  return ranked_order(shapes, three_level_shape_cost);
-}
-
 }  // namespace jigsaw

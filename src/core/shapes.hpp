@@ -13,7 +13,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "topology/fat_tree.hpp"
@@ -50,8 +49,10 @@ struct ThreeLevelShape {
 };
 
 /// All two-level shapes for `size` nodes on `topo`, densest first
-/// (nL descending), so the search prefers placements that touch the fewest
-/// leaves and links.
+/// (nL descending). The canonical order is already best fit first:
+/// leaves_touched() = ceil(size / nL) never decreases along it, so a
+/// first-feasible scan — including one a deadline cuts short — commits
+/// the feasible shape touching the fewest leaves and links.
 std::vector<TwoLevelShape> two_level_shapes(int size, const FatTree& topo);
 
 /// All three-level shapes. With `restrict_full_leaves` (Jigsaw's §4
@@ -59,30 +60,11 @@ std::vector<TwoLevelShape> two_level_shapes(int size, const FatTree& topo);
 /// every nL is enumerated (the least-constrained scheme). Shapes span at
 /// least two subtrees — single-subtree placements are the two-level pass's
 /// job. Ordered by nL descending, then leaves-per-tree descending
-/// (fewest-subtrees first).
+/// (fewest-subtrees first). The restricted family is best fit first:
+/// every shape touches exactly ceil(size / m1) leaves and trees_touched()
+/// = ceil(size / (LT * m1)) never decreases along the order. The general
+/// family has no such order (a smaller nL can need fewer subtrees).
 std::vector<ThreeLevelShape> three_level_shapes(int size, const FatTree& topo,
                                                 bool restrict_full_leaves);
-
-/// Anytime-mode fit score, lower = better. The canonical enumeration
-/// order is densest-nL first but not strictly quality-descending (a
-/// shape touching fewer leaves can appear after one touching more);
-/// these costs give the total order the anytime scan probes in, so a
-/// min-position reduction over ranked positions is a max-quality
-/// reduction. Two-level: fewest leaves touched, then densest leaves.
-std::uint64_t two_level_shape_cost(const TwoLevelShape& shape);
-
-/// Three-level: fewest subtrees touched, then fewest leaves touched,
-/// then densest leaves — fewer uplinks claimed and less spine pressure.
-std::uint64_t three_level_shape_cost(const ThreeLevelShape& shape);
-
-/// Quality-descending permutation of `shapes` indices: position p of the
-/// returned array holds the index of the p-th best shape by
-/// two_level_shape_cost (stable — canonical order breaks cost ties, so
-/// the ranking is deterministic and reproducible from the shape list).
-std::vector<std::uint32_t> ranked_two_level_order(
-    const std::vector<TwoLevelShape>& shapes);
-
-std::vector<std::uint32_t> ranked_three_level_order(
-    const std::vector<ThreeLevelShape>& shapes);
 
 }  // namespace jigsaw

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+
+#include "core/search.hpp"
 
 namespace jigsaw {
 
@@ -130,25 +131,16 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
     // Anytime mode probes trees best-fit (fewest free nodes first): the
     // min-position winner is then the placement that packs tightest and
     // implicitly reserves the fewest pristine leaves.
-    std::vector<TreeId> ranked;
-    if (clock.ranked()) {
-      ranked.resize(static_cast<std::size_t>(topo.trees()));
-      std::iota(ranked.begin(), ranked.end(), 0);
-      std::stable_sort(ranked.begin(), ranked.end(),
-                       [&](TreeId x, TreeId y) {
-                         return state.tree_free_nodes(x) <
-                                state.tree_free_nodes(y);
-                       });
-    }
+    const std::vector<TreeId> best_fit =
+        clock.active() ? trees_best_fit(state) : std::vector<TreeId>{};
     std::uint64_t budget = static_cast<std::uint64_t>(topo.trees()) + 1;
     const std::uint64_t full = budget;
     const CandidateScan r = scan_first_feasible(
-        static_cast<std::size_t>(topo.trees()), budget,
-        clock.active() ? &clock : nullptr,
-        [&](std::size_t ti, std::uint64_t& b) {
+        static_cast<std::size_t>(topo.trees()), budget, &clock,
+        [&](std::size_t ti, std::uint64_t& b, const AnytimeClock*) {
           --b;
           const TreeId t =
-              clock.ranked() ? ranked[ti] : static_cast<TreeId>(ti);
+              clock.active() ? best_fit[ti] : static_cast<TreeId>(ti);
           // Usable capacity never exceeds the tree's free-node index, so
           // a short tree can be skipped without the per-leaf uplink scan.
           if (state.tree_free_nodes(t) < request.nodes) return false;
@@ -171,7 +163,7 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
       stats->steps += full - budget;
       stats->probes += r.probes;
       stats->deadline_expired = stats->deadline_expired || r.expired;
-      if (clock.ranked()) stats->slack_ns = clock.slack_ns();
+      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
     if (r.winner >= 0) return a;
     return std::nullopt;

@@ -28,7 +28,7 @@ struct PassObs {
   /// Anytime (deadline-bounded) search surface. deadline_hits counts
   /// allocate calls whose search expired before exhausting the candidate
   /// space; anytime_commits the subset that still committed a placement
-  /// (the best-so-far under the quality-descending order);
+  /// (the best-so-far under the best-fit-first order);
   /// probes_at_expiry accumulates how many candidates those expired calls
   /// managed to probe. deadline_slack records deadline-minus-elapsed
   /// seconds per deadline-bounded call (negative = overran; the

@@ -48,8 +48,8 @@ struct SimConfig {
   bool admission_quick_reject = false;
   /// Anytime placement-search deadline, microseconds per allocate() call
   /// (0 = exhaustive, the historical bit-identical default). With a
-  /// deadline the allocator probes candidates in quality-descending order
-  /// and commits the best feasible placement found when time runs out.
+  /// deadline the allocator probes candidates best fit first and commits
+  /// the best feasible placement found when time runs out.
   std::int64_t alloc_deadline_us = 0;
   /// Per-wire bandwidth budget for link sharing: peak 5 GB/s x 80% cap
   /// (§5.4.2).

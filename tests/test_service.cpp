@@ -619,7 +619,7 @@ TEST_F(ServiceRecoveryTest, TamperedGrantFailsTheAudit) {
     if (rec.type == WalRecordType::kGrant) {
       const std::size_t at = payload.find("\"nodes\":");
       ASSERT_NE(at, std::string::npos);
-      payload.insert(at + 8, "1");  // e.g. nodes 2 -> 12
+      payload.insert(at + 8, 1, '1');  // e.g. nodes 2 -> 12
     }
     ASSERT_TRUE(writer.append(rec.type, payload, &error)) << error;
   }

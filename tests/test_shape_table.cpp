@@ -7,10 +7,13 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "core/baseline.hpp"
 #include "core/jigsaw_allocator.hpp"
@@ -18,6 +21,7 @@
 #include "core/lc.hpp"
 #include "core/shape_table.hpp"
 #include "core/ta.hpp"
+#include "service/wal.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
@@ -66,8 +70,7 @@ class ShapeTableRadix : public ::testing::TestWithParam<int> {};
 
 TEST_P(ShapeTableRadix, RoundTripMatchesRuntimeEverywhere) {
   const FatTree topo = FatTree::from_radix(GetParam());
-  const std::string path =
-      temp_path(("k" + std::to_string(GetParam())).c_str());
+  const std::string path = temp_path(std::to_string(GetParam()).c_str());
   write_file(path, ShapeTable::serialize(topo));
 
   std::string error;
@@ -137,15 +140,39 @@ TEST(ShapeTable, CorruptTruncatedAndMismatchedFilesFailCleanly) {
   const std::string path = temp_path("corrupt");
   std::mt19937_64 rng(0xC0221071ULL);
 
-  // Version mismatch: bump the version field (offset 8) past the known
-  // version (2) — must name the version in the error.
-  {
+  // Version mismatch: the retired versions 1 and 2 (which carried probe
+  // permutations) and a future version 4 in the version field (offset
+  // 8) — the error must name the version.
+  for (const int version : {1, 2, 4}) {
     std::string bytes = good;
-    bytes[8] = 3;
+    bytes[8] = static_cast<char>(version);
     write_file(path, bytes);
     std::string error;
     EXPECT_EQ(ShapeTable::load(path, &error), nullptr);
-    EXPECT_NE(error.find("version"), std::string::npos) << error;
+    EXPECT_NE(error.find("version " + std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
+  // A record count that wraps the pool-length sum: an index-only payload
+  // whose last two-level bound is 2^62, so 12 * 2^62 == 0 mod 2^64 and
+  // the unbounded sum equals the index size. The CRC is re-sealed so only
+  // the count bound can reject the file.
+  {
+    const std::size_t entries =
+        2 * (static_cast<std::size_t>(topo.total_nodes()) + 1);
+    std::vector<std::uint64_t> index(entries, 0);
+    const auto last_two_level = static_cast<std::size_t>(topo.total_nodes());
+    index[last_two_level] = std::uint64_t{1} << 62;
+    const std::uint64_t payload_bytes = entries * sizeof(std::uint64_t);
+    std::string bytes = good.substr(0, 40);
+    bytes.append(reinterpret_cast<const char*>(index.data()), payload_bytes);
+    const std::uint32_t crc = service::crc32(bytes.data() + 40, payload_bytes);
+    std::memcpy(bytes.data() + 28, &crc, sizeof(crc));
+    std::memcpy(bytes.data() + 32, &payload_bytes, sizeof(payload_bytes));
+    write_file(path, bytes);
+    std::string error;
+    EXPECT_EQ(ShapeTable::load(path, &error), nullptr);
+    EXPECT_NE(error.find("pool length"), std::string::npos) << error;
   }
   // Bad magic.
   {
