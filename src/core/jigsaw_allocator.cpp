@@ -101,9 +101,9 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   {
     TwoLevelPick pick;
-    const CandidateScan r = scan_two_level(
-        state, view, shapes2.span(), trees_best_fit(state), budget, &clock,
-        &pick);
+    const CandidateScan r =
+        scan_two_level(state, view, shapes2.span(), TreeOrder::kBestFit,
+                       budget, &clock, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
@@ -126,12 +126,8 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
       three_level_shape_seq(request.nodes, topo, /*restrict_full_leaves=*/true);
   {
     ThreeLevelPick pick;
-    const CandidateScan r = scan_first_feasible(
-        shapes3.size(), budget, &clock,
-        [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
-          return find_three_level_full_leaves(state, view, shapes3[pos], b,
-                                              &pick, c);
-        });
+    const CandidateScan r = scan_three_level_full_leaves(
+        state, view, shapes3.span(), budget, &clock, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);

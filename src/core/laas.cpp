@@ -221,9 +221,9 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   {
     TwoLevelPick pick;
-    const CandidateScan r = scan_two_level(
-        state, view, shapes2.span(), trees_best_fit(state), budget, &clock,
-        &pick);
+    const CandidateScan r =
+        scan_two_level(state, view, shapes2.span(), TreeOrder::kBestFit,
+                       budget, &clock, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);

@@ -401,11 +401,10 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
 
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   {
-    std::vector<TreeId> trees(static_cast<std::size_t>(topo.trees()));
-    std::iota(trees.begin(), trees.end(), 0);
     TwoLevelPick pick;
-    const CandidateScan r = scan_two_level(state, view, shapes2.span(), trees,
-                                           budget, &clock, &pick);
+    const CandidateScan r =
+        scan_two_level(state, view, shapes2.span(), TreeOrder::kIndex, budget,
+                       &clock, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
@@ -421,23 +420,6 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     // scan probes its first candidate unclocked, so the overrun is
     // bounded at one probe.
   }
-
-  // Suffix-summed bucket counts, one row per tree: row[c] = leaves with
-  // >= c free nodes. Built once from the capacity index so the per-shape
-  // feasibility screen below is an O(1) read per tree.
-  const int m1 = topo.nodes_per_leaf();
-  std::vector<int> at_least(
-      static_cast<std::size_t>(topo.trees()) * (m1 + 2), 0);
-  for (TreeId t = 0; t < topo.trees(); ++t) {
-    int* row = &at_least[static_cast<std::size_t>(t) * (m1 + 2)];
-    for (int c = m1; c >= 1; --c) {
-      row[c] = row[c + 1] + popcount(state.leaves_with_free_count(t, c));
-    }
-    row[0] = topo.leaves_per_tree();
-  }
-  auto leaves_with_at_least = [&](TreeId t, int per_leaf) {
-    return at_least[static_cast<std::size_t>(t) * (m1 + 2) + per_leaf];
-  };
 
   const auto shapes3 = three_level_shape_seq(request.nodes, topo,
                                           /*restrict_full_leaves=*/false);
@@ -466,10 +448,12 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
           // Node-count feasibility screen: enough trees must hold enough
           // sufficiently-free leaves before any link search is worth
           // running. Step-free, like the `continue`s it replaces.
+          const std::span<const int> deep_row =
+              state.leaves_with_at_least(shape.nodes_per_leaf);
           int full_capable = 0;
           int rem_capable = 0;
           for (TreeId t = 0; t < topo.trees(); ++t) {
-            const int deep = leaves_with_at_least(t, shape.nodes_per_leaf);
+            const int deep = deep_row[static_cast<std::size_t>(t)];
             if (deep >= shape.leaves_per_tree) ++full_capable;
             if (shape.has_remainder_tree() && deep >= shape.rem_full_leaves &&
                 state.tree_free_nodes(t) >= shape.remainder_nodes()) {
@@ -484,7 +468,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
 
           L3Ctx ctx{&state, &view, shape, {}, {}, {}, {}, &b, nullptr, c};
           for (TreeId t = 0; t < topo.trees(); ++t) {
-            if (leaves_with_at_least(t, shape.nodes_per_leaf) <
+            if (deep_row[static_cast<std::size_t>(t)] <
                 shape.leaves_per_tree) {
               continue;
             }

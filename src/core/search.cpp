@@ -103,16 +103,6 @@ bool find_two_level(const ClusterState& state, const LinkView& view,
                     std::uint64_t& budget, TwoLevelPick* out,
                     const AnytimeClock* clock) {
   const FatTree& topo = state.topo();
-  // Index prescreen: the recursion needs full_leaves sufficiently-free
-  // leaves, so a handful of bucket reads settles most trees before any
-  // candidate collection (or its allocations) happens. Budget-neutral:
-  // the sweep below would reach the same verdict without spending steps.
-  Mask eligible = 0;
-  for (int c = shape.nodes_per_leaf; c <= topo.nodes_per_leaf(); ++c) {
-    eligible |= state.leaves_with_free_count(tree, c);
-  }
-  if (popcount(eligible) < shape.full_leaves) return false;
-
   TwoLevelCtx ctx{&state,  &view,  shape, tree, shape.leaves_touched() > 1,
                   {},      {},     {},    &budget, out, clock};
   // Best fit: prefer the leaves with the fewest free nodes, so partially
@@ -151,17 +141,47 @@ std::vector<TreeId> trees_best_fit(const ClusterState& state) {
 
 CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
                              std::span<const TwoLevelShape> shapes,
-                             std::span<const TreeId> trees,
-                             std::uint64_t& budget, const AnytimeClock* clock,
-                             TwoLevelPick* pick) {
-  const std::size_t n_trees = trees.size();
+                             TreeOrder order, std::uint64_t& budget,
+                             const AnytimeClock* clock, TwoLevelPick* pick) {
+  // Capacity screen. find_two_level() needs full_leaves leaves holding at
+  // least nodes_per_leaf free nodes, and turns a tree short of them away
+  // before its first step. The maintained at-least tallies answer that
+  // per tree, so such pairs never become probes: a shape no tree can
+  // host costs one row scan, and the survivors keep their canonical
+  // (shape-major, tree-order) positions. Step-neutral by construction.
+  struct Pair {
+    std::size_t shape;
+    TreeId tree;
+  };
+  std::vector<Pair> pairs;
+  std::vector<TreeId> trees;  // the tree order, built on first need
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const std::span<const int> row =
+        state.leaves_with_at_least(shapes[s].nodes_per_leaf);
+    const int need = shapes[s].full_leaves;
+    if (*std::max_element(row.begin(), row.end()) < need) continue;
+    if (trees.empty()) {
+      if (order == TreeOrder::kBestFit) {
+        trees = trees_best_fit(state);
+      } else {
+        trees.resize(row.size());
+        std::iota(trees.begin(), trees.end(), 0);
+      }
+    }
+    for (const TreeId t : trees) {
+      if (row[static_cast<std::size_t>(t)] >= need) pairs.push_back({s, t});
+    }
+  }
   CandidateScan r = scan_first_feasible(
-      shapes.size() * n_trees, budget, clock,
+      pairs.size(), budget, clock,
       [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
-        return find_two_level(state, view, shapes[pos / n_trees],
-                              trees[pos % n_trees], b, pick, c);
+        return find_two_level(state, view, shapes[pairs[pos].shape],
+                              pairs[pos].tree, b, pick, c);
       });
-  if (r.winner >= 0) r.winner /= static_cast<std::ptrdiff_t>(n_trees);
+  if (r.winner >= 0) {
+    r.winner = static_cast<std::ptrdiff_t>(
+        pairs[static_cast<std::size_t>(r.winner)].shape);
+  }
   return r;
 }
 
@@ -374,6 +394,55 @@ bool find_three_level_full_leaves(const ClusterState& state,
   const std::vector<Mask> all(static_cast<std::size_t>(w2),
                               low_bits(topo.spines_per_group()));
   return recurse_three_level(ctx, 0, all);
+}
+
+CandidateScan scan_three_level_full_leaves(
+    const ClusterState& state, const LinkView& view,
+    std::span<const ThreeLevelShape> shapes, std::uint64_t& budget,
+    const AnytimeClock* clock, ThreeLevelPick* pick) {
+  // Whole-leaf screen. Every leaf a full tree gives the shape is fully
+  // free, and so is every whole leaf of the remainder tree, which must
+  // be a further tree. trees_with[j] counts the trees holding at least j
+  // fully-free leaves; one O(trees) read of the index fills it.
+  const FatTree& topo = state.topo();
+  std::vector<int> trees_with(
+      static_cast<std::size_t>(topo.leaves_per_tree()) + 2, 0);
+  for (TreeId t = 0; t < topo.trees(); ++t) {
+    ++trees_with[static_cast<std::size_t>(state.fully_free_leaves(t))];
+  }
+  for (std::size_t j = trees_with.size() - 1; j-- > 0;) {
+    trees_with[j] += trees_with[j + 1];
+  }
+  // A shape needs T trees with LT fully-free leaves, which is exactly
+  // the tree filter find_three_level_full_leaves() applies before its
+  // first step. A remainder tree with LrT > 0 whole leaves also needs a
+  // (T+1)-th tree with LrT of them (LrT < LT, so the full trees count
+  // too); the search would spend steps before finding it missing.
+  std::vector<std::size_t> hostable;
+  for (std::size_t s = 0; s < shapes.size(); ++s) {
+    const ThreeLevelShape& sh = shapes[s];
+    if (trees_with[static_cast<std::size_t>(sh.leaves_per_tree)] <
+        sh.full_trees) {
+      continue;
+    }
+    if (sh.rem_full_leaves > 0 &&
+        trees_with[static_cast<std::size_t>(sh.rem_full_leaves)] <=
+            sh.full_trees) {
+      continue;
+    }
+    hostable.push_back(s);
+  }
+  CandidateScan r = scan_first_feasible(
+      hostable.size(), budget, clock,
+      [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
+        return find_three_level_full_leaves(state, view,
+                                            shapes[hostable[pos]], b, pick, c);
+      });
+  if (r.winner >= 0) {
+    r.winner = static_cast<std::ptrdiff_t>(
+        hostable[static_cast<std::size_t>(r.winner)]);
+  }
+  return r;
 }
 
 std::vector<NodeId> pick_free_nodes(const ClusterState& state, LeafId leaf,

@@ -128,10 +128,13 @@ struct ThreeLevelPick {
 /// Searches subtree `tree` for a placement of `shape`. Decrements `budget`
 /// per backtracking step and gives up at zero. First-fit over ascending
 /// leaf indices; the remainder leaf is chosen best-fit (fewest free nodes
-/// that still suffice) to conserve empty leaves. A non-null `clock` makes
-/// long searches cooperative: every 1024 steps (anytime_interrupt) an
-/// expired deadline truncates the recursion, reporting infeasible for the
-/// rest of this candidate — the default null clock costs one pointer test.
+/// that still suffice) to conserve empty leaves. A tree with fewer than
+/// full_leaves leaves holding nodes_per_leaf free nodes is rejected
+/// before the first step; scan_two_level() screens those trees out so
+/// they never reach this call. A non-null `clock` makes long searches
+/// cooperative: every 1024 steps (anytime_interrupt) an expired deadline
+/// truncates the recursion, reporting infeasible for the rest of this
+/// candidate — the default null clock costs one pointer test.
 bool find_two_level(const ClusterState& state, const LinkView& view,
                     const TwoLevelShape& shape, TreeId tree,
                     std::uint64_t& budget, TwoLevelPick* out,
@@ -142,16 +145,27 @@ bool find_two_level(const ClusterState& state, const LinkView& view,
 /// whole for the three-level placements that large jobs require.
 std::vector<TreeId> trees_best_fit(const ClusterState& state);
 
+/// The order in which a two-level scan visits trees within a shape.
+enum class TreeOrder {
+  kBestFit,  ///< trees_best_fit() (Jigsaw, LaaS)
+  kIndex,    ///< ascending tree index (LC)
+};
+
 /// The two-level pass shared by Jigsaw, LaaS and LC: scan the (shape,
 /// tree) pairs shape-major — `shapes` in their canonical best-fit-first
-/// order, `trees` in the caller's order — and stop at the first pair
-/// find_two_level() places. On a win `pick` holds the placement and the
-/// result's `winner` is the winning shape's index in `shapes`.
+/// order, trees in `order` — and stop at the first pair find_two_level()
+/// places. Pairs whose tree lacks full_leaves leaves with nodes_per_leaf
+/// free nodes (ClusterState::leaves_with_at_least) are screened out
+/// before they become probes; find_two_level() would reject them without
+/// a step, so the winner, the pick and the step charge are those of the
+/// unscreened scan, while `probes` counts only screened candidates. The
+/// tree order is built only once some shape passes the screen. On a win
+/// `pick` holds the placement and the result's `winner` is the winning
+/// shape's index in `shapes`.
 CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
                              std::span<const TwoLevelShape> shapes,
-                             std::span<const TreeId> trees,
-                             std::uint64_t& budget, const AnytimeClock* clock,
-                             TwoLevelPick* pick);
+                             TreeOrder order, std::uint64_t& budget,
+                             const AnytimeClock* clock, TwoLevelPick* pick);
 
 /// Searches the whole machine for a placement of a whole-leaf three-level
 /// shape (shape.nodes_per_leaf must equal the topology's nodes-per-leaf).
@@ -160,6 +174,20 @@ bool find_three_level_full_leaves(const ClusterState& state,
                                   const ThreeLevelShape& shape,
                                   std::uint64_t& budget, ThreeLevelPick* out,
                                   const AnytimeClock* clock = nullptr);
+
+/// Jigsaw's restricted three-level pass: probe the whole-leaf `shapes`
+/// in order and stop at the first one find_three_level_full_leaves()
+/// places. Shapes the fully-free-leaf counts rule out are not probed:
+/// fewer than T trees with LT fully-free leaves, or, when the remainder
+/// tree takes LrT > 0 whole leaves, fewer than T+1 trees with LrT of
+/// them. Steps can only fall, because the remainder screen skips
+/// searches that would fail after spending steps; so whenever the
+/// unscreened scan finishes within its step budget, the winner and pick
+/// are its. `winner` indexes `shapes`.
+CandidateScan scan_three_level_full_leaves(
+    const ClusterState& state, const LinkView& view,
+    std::span<const ThreeLevelShape> shapes, std::uint64_t& budget,
+    const AnytimeClock* clock, ThreeLevelPick* pick);
 
 /// Expand a pick into the concrete resource set. `demand` is copied into
 /// Allocation::bandwidth.

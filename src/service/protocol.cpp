@@ -20,6 +20,19 @@ bool require_number(const JsonValue& obj, const char* key, double* out,
   return true;
 }
 
+/// Job ids travel as JSON numbers. Only a non-negative integer a double
+/// holds exactly (at most 2^53) converts to JobId exactly and with
+/// defined behaviour; anything else is refused.
+bool job_id_field(const JsonValue& v, JobId* out) {
+  if (!v.is_number()) return false;
+  const double d = v.as_double();
+  if (!(d >= 0.0) || d > 9007199254740992.0 || d != std::floor(d)) {
+    return false;
+  }
+  *out = static_cast<JobId>(d);
+  return true;
+}
+
 }  // namespace
 
 const char* error_code_name(ErrorCode code) {
@@ -97,17 +110,19 @@ bool parse_request(const std::string& line, Request* out,
     out->nodes = static_cast<int>(nodes);
     out->runtime = runtime;
     if (const JsonValue* v = doc.find("id")) {
-      if (!v->is_number() || v->as_double() < 0.0) {
+      JobId id = 0;
+      if (!job_id_field(*v, &id)) {
         failure->code = ErrorCode::kBadRequest;
-        failure->message = "\"id\" must be a non-negative number";
+        failure->message = "\"id\" must be a non-negative integer";
         return false;
       }
-      out->id = static_cast<JobId>(v->as_int());
+      out->id = id;
     }
     if (const JsonValue* v = doc.find("bandwidth")) {
-      if (!v->is_number() || v->as_double() < 0.0) {
+      if (!v->is_number() || !std::isfinite(v->as_double()) ||
+          v->as_double() < 0.0) {
         failure->code = ErrorCode::kBadRequest;
-        failure->message = "\"bandwidth\" must be non-negative";
+        failure->message = "\"bandwidth\" must be non-negative and finite";
         return false;
       }
       out->bandwidth = v->as_double();
@@ -123,13 +138,12 @@ bool parse_request(const std::string& line, Request* out,
     }
   } else if (op == "cancel" || op == "status") {
     out->op = op == "cancel" ? RequestOp::kCancel : RequestOp::kStatus;
-    double job = 0.0;
-    if (!require_number(doc, "job", &job, &message)) {
+    const JsonValue* v = doc.find("job");
+    if (v == nullptr || !job_id_field(*v, &out->job)) {
       failure->code = ErrorCode::kBadRequest;
-      failure->message = message;
+      failure->message = "\"job\" must be a non-negative integer";
       return false;
     }
-    out->job = static_cast<JobId>(job);
   } else if (op == "stats") {
     out->op = RequestOp::kStats;
   } else if (op == "metrics") {
@@ -242,6 +256,7 @@ std::string metrics_json(const SimMetrics& m) {
   field(out, "allocate_calls", m.allocate_calls, &first);
   field(out, "search_steps", m.search_steps, &first);
   field(out, "budget_exhaustions", m.budget_exhaustions, &first);
+  field(out, "backfill_memo_skips", m.backfill_memo_skips, &first);
   field(out, "mean_sched_time_per_job", m.mean_sched_time_per_job, &first);
   field(out, "fault_events", m.fault_events, &first);
   field(out, "resources_failed", m.resources_failed, &first);

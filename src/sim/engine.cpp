@@ -340,6 +340,7 @@ void SimEngine::scheduling_pass(double now) {
   metrics_.search_steps += pass.search_steps;
   metrics_.budget_exhaustions += pass.budget_exhaustions;
   metrics_.quick_rejects += pass.quick_rejects;
+  metrics_.backfill_memo_skips += pass.backfill_memo_skips;
   // Latest-pass attribution for status(): assigned unconditionally so a
   // pass that starts its head (reason kNone) clears the stale entry.
   head_blocked_reason_ = pass.head_blocked_reason;

@@ -29,7 +29,8 @@ namespace {
 //     accounting in SimMetrics, and the in-flight migration state
 //     (pending plan, open window, unblock check, stall throttle) so a
 //     recovered engine resumes or cleanly finishes a mid-window run.
-constexpr std::uint32_t kEngineBlobVersion = 3;
+// v4: SimMetrics gained backfill_memo_skips (per-pass failure memo).
+constexpr std::uint32_t kEngineBlobVersion = 4;
 
 void put_allocation(BufWriter& w, const Allocation& a) {
   w.i64(a.job);
@@ -109,6 +110,7 @@ void put_metrics(BufWriter& w, const SimMetrics& m) {
   w.u64(m.search_steps);
   w.u64(m.budget_exhaustions);
   w.u64(m.quick_rejects);
+  w.u64(m.backfill_memo_skips);
   w.f64(m.mean_sched_time_per_job);
   w.u64(m.fault_events);
   w.u64(m.resources_failed);
@@ -157,6 +159,7 @@ SimMetrics get_metrics(BufReader& r) {
   m.search_steps = r.u64();
   m.budget_exhaustions = r.u64();
   m.quick_rejects = r.u64();
+  m.backfill_memo_skips = r.u64();
   m.mean_sched_time_per_job = r.f64();
   m.fault_events = r.u64();
   m.resources_failed = r.u64();

@@ -104,6 +104,10 @@ struct SimMetrics {
   /// Placement searches skipped by the admission quick-reject screen
   /// (SimConfig::admission_quick_reject); disjoint from allocate_calls.
   std::uint64_t quick_rejects = 0;
+  /// Backfill candidates skipped by the scheduler's per-pass failure
+  /// memo (same nodes and bandwidth already failed in the pass);
+  /// disjoint from allocate_calls and quick_rejects.
+  std::uint64_t backfill_memo_skips = 0;
   double mean_sched_time_per_job = 0.0;  ///< Table 3 metric
   // -- fault accounting (nonzero only when a FailureSchedule is active) --
   std::uint64_t fault_events = 0;        ///< schedule events applied

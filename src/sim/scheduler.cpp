@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "obs/scoped_timer.hpp"
 
@@ -25,6 +26,7 @@ struct PassObs {
   obs::Counter* backfill_rejected = nullptr;
   obs::Counter* cache_hits = nullptr;
   obs::Counter* quick_rejects = nullptr;
+  obs::Counter* backfill_memo_skips = nullptr;
   /// Anytime (deadline-bounded) search surface. deadline_hits counts
   /// allocate calls whose search expired before exhausting the candidate
   /// space; anytime_commits the subset that still committed a placement
@@ -60,6 +62,7 @@ struct PassObs {
     backfill_rejected = &m.counter("sched.backfill_rejected");
     cache_hits = &m.counter("sched.cache_hits");
     quick_rejects = &m.counter("sched.quick_reject");
+    backfill_memo_skips = &m.counter("sched.backfill_memo_skips");
     deadline_hits = &m.counter("sched.deadline_hits");
     anytime_commits = &m.counter("sched.anytime_commits");
     probes_at_expiry = &m.counter("alloc.probes_at_expiry");
@@ -76,9 +79,10 @@ struct PassObs {
   }
 };
 
-/// Sorted-vector resource membership; rebuilt once per pass from the
-/// shadow placement and probed per backfill candidate, so contiguous
-/// binary searches beat node-per-node tree walks.
+/// Sorted-vector resource membership over the shadow placement, probed
+/// per backfill candidate that would outlive the reservation, so
+/// contiguous binary searches beat node-per-node tree walks. Built at
+/// most once per pass, and only when such a candidate first appears.
 struct ResourceSet {
   std::vector<NodeId> nodes;
   std::vector<LeafWire> leaf_wires;
@@ -278,10 +282,10 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
     {
       // Released-prefix ladder: rung e holds a nested transaction that
       // released endings[e]. Moving the probe prefix from r to k costs
-      // |k - r| release/rollback steps, so the whole binary search pays
-      // O(total endings) instead of re-releasing a prefix per probe.
-      // The rungs must unwind in reverse before this scope exits (Txns
-      // are LIFO), which set_prefix(0) guarantees on every path below.
+      // |k - r| release/rollback steps, so the gallop below pays
+      // O(prefix reached) releases instead of re-releasing a prefix per
+      // probe. The rungs must unwind in reverse before this scope exits
+      // (Txns are LIFO), which set_prefix(0) guarantees on every path.
       std::vector<ClusterState::Txn> rungs;
       rungs.reserve(endings.size());
       auto set_prefix = [&](std::size_t k) {
@@ -294,26 +298,30 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
           state.release(*endings[rungs.size() - 1].allocation);
         }
       };
-      auto fits_after = [&](std::size_t k) -> std::optional<Allocation> {
-        set_prefix(k);
-        return try_alloc(state, head, "shadow_probe");
-      };
-      if (!endings.empty() && fits_after(endings.size()).has_value()) {
-        // Placeability is monotone in released resources: binary-search
-        // the earliest completion prefix after which the head fits.
-        std::size_t lo = 1;
-        std::size_t hi = endings.size();
-        while (lo < hi) {
-          const std::size_t mid = lo + (hi - lo) / 2;
-          if (fits_after(mid).has_value()) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
-        }
-        shadow_alloc = fits_after(lo);
-        shadow_time = endings[lo - 1].end;
+      // Node-count bound: a release frees at most nodes.size() nodes
+      // (fewer when some have failed), so no prefix shorter than the one
+      // that could first cover head.nodes can place the head. The head
+      // just failed at prefix 0, so the search starts at 1 or later.
+      std::size_t bound = 0;
+      std::int64_t reachable = state.total_free_nodes();
+      while (bound < endings.size() && reachable < head.nodes) {
+        reachable += static_cast<std::int64_t>(
+            endings[bound].allocation->nodes.size());
+        ++bound;
       }
+      // Every successful probe overwrites shadow_alloc; galloping probes
+      // successes at strictly shrinking prefixes, so the survivor is the
+      // placement at the minimal prefix, with no re-probe.
+      const std::size_t k = gallop_first_fit(
+          std::max<std::size_t>(bound, 1), endings.size(),
+          [&](std::size_t prefix) {
+            set_prefix(prefix);
+            auto alloc = try_alloc(state, head, "shadow_probe");
+            if (!alloc.has_value()) return false;
+            shadow_alloc = std::move(alloc);
+            return true;
+          });
+      if (k <= endings.size()) shadow_time = endings[k - 1].end;
       set_prefix(0);
     }
     // §3.2 blocked-reason attribution for the failed head placement.
@@ -366,7 +374,7 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
 
   // Backfill inside the lookahead window without delaying the reservation.
   if (window_ <= 0) return decisions;
-  const ResourceSet shadow_resources(*shadow_alloc);
+  std::optional<ResourceSet> shadow_resources;
 
   std::vector<std::size_t> candidates;
   for (std::size_t k = head_index + 1;
@@ -398,17 +406,44 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
     }
   };
 
+  // Per-pass failure memo. From here on the pass only takes resources,
+  // and allocate() reads nothing of a request but its node count and
+  // bandwidth, so a key that failed definitively earlier in this loop
+  // fails again. A search cut short by the step budget or the deadline
+  // proved nothing and is not remembered.
+  std::vector<std::pair<int, double>> failed_keys;
+  auto failed_before = [&](const PendingJob& p) {
+    return std::find(failed_keys.begin(), failed_keys.end(),
+                     std::pair<int, double>{p.nodes, p.bandwidth}) !=
+           failed_keys.end();
+  };
+
   std::size_t examined = first_candidate_offset;
   for (std::size_t c = first_candidate_offset; c < candidates.size();
        ++c, ++examined) {
     const std::size_t k = candidates[c];
-    auto trial = try_alloc(state, pending[k], "backfill");
-    if (!trial.has_value()) {
+    if (failed_before(pending[k])) {
+      if (stats != nullptr) ++stats->backfill_memo_skips;
+      if (po.backfill_memo_skips != nullptr) po.backfill_memo_skips->add();
       note_backfill(pending[k], "no_placement", false);
       continue;
     }
-    const bool safe = now + pending[k].est_runtime <= shadow_time + 1e-9 ||
-                      shadow_resources.disjoint_from(*trial);
+    SearchStats search;
+    auto trial = try_alloc(state, pending[k], "backfill", &search);
+    if (!trial.has_value()) {
+      if (!search.budget_exhausted && !search.deadline_expired) {
+        failed_keys.emplace_back(pending[k].nodes, pending[k].bandwidth);
+      }
+      note_backfill(pending[k], "no_placement", false);
+      continue;
+    }
+    bool safe = now + pending[k].est_runtime <= shadow_time + 1e-9;
+    if (!safe) {
+      if (!shadow_resources.has_value()) {
+        shadow_resources.emplace(*shadow_alloc);
+      }
+      safe = shadow_resources->disjoint_from(*trial);
+    }
     if (!safe) {
       note_backfill(pending[k], "would_delay_reservation", false);
       continue;

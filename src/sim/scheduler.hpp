@@ -2,16 +2,19 @@
 //
 // EASY semantics: start jobs from the head of the queue while they fit.
 // When the head does not fit, give it a reservation — the *shadow* time,
-// found by replaying running-job completions (earliest first) against a
-// copy of the cluster state until the head becomes placeable, together
-// with the shadow placement itself. Then backfill: any of the next
-// `window` queued jobs may start now if it fits and either finishes by the
-// shadow time or its placement is disjoint from the shadow placement, so
-// the reservation cannot be delayed.
+// found by replaying running-job completions (earliest first) until the
+// head becomes placeable, together with the shadow placement itself. Then
+// backfill: any of the next `window` queued jobs may start now if it fits
+// and either finishes by the shadow time or its placement is disjoint
+// from the shadow placement, so the reservation cannot be delayed.
 //
 // Because placeability is monotone in released resources, the shadow
-// search binary-searches the completion prefix instead of replaying
-// completions one at a time.
+// search gallops over the completion prefix instead of replaying
+// completions one at a time: it starts at the shortest prefix whose
+// released nodes could cover the head, steps 1, 2, 4, ... completions
+// further on, and binary-searches the last gap. Backfill skips a
+// candidate whose (nodes, bandwidth) already failed earlier in the same
+// pass, since the pass only takes resources after the head loop.
 //
 // The pass is copy-free: head starts, shadow probes and backfill all run
 // against the caller's ClusterState under nested transactions
@@ -22,6 +25,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <optional>
@@ -50,6 +55,33 @@ enum class BackfillOrder {
   kFifo,          ///< queue order (classic EASY, the paper's §5.3 setting)
   kShortestFirst  ///< shortest estimated runtime first (SJBF variant)
 };
+
+/// Smallest k in [lo, hi] with fits(k), for a predicate that is false
+/// below some boundary and true from it on; hi + 1 when fits(hi) is
+/// false. Probes lo, lo+1, lo+3, lo+7, ... (capped at hi), then
+/// binary-searches the last gap, so a boundary d past lo costs
+/// O(log d) probes. Successful probes land on strictly shrinking
+/// positions, so the last one is at the returned k.
+template <typename Fits>
+std::size_t gallop_first_fit(std::size_t lo, std::size_t hi, Fits&& fits) {
+  if (lo > hi) return hi + 1;
+  std::size_t below = lo;  // every position in [lo, below) is false
+  std::size_t k = lo;
+  for (std::size_t step = 1; !fits(k); step *= 2) {
+    if (k == hi) return hi + 1;
+    below = k + 1;
+    k = std::min(hi, k + step);
+  }
+  while (below < k) {
+    const std::size_t mid = below + (k - below) / 2;
+    if (fits(mid)) {
+      k = mid;
+    } else {
+      below = mid + 1;
+    }
+  }
+  return k;
+}
 
 class EasyScheduler {
  public:
@@ -83,6 +115,10 @@ class EasyScheduler {
     /// Placement searches skipped by the admission quick-reject screen
     /// (counted instead of, not in addition to, allocate_calls).
     std::uint64_t quick_rejects = 0;
+    /// Backfill candidates skipped because a request of the same nodes
+    /// and bandwidth already failed definitively earlier in the pass
+    /// (counted instead of allocate_calls or quick_rejects).
+    std::uint64_t backfill_memo_skips = 0;
     /// §3.2 condition-class attribution for the blocked head, when the
     /// pass left one (kNone otherwise). Only computed when the pass runs
     /// with an enabled ObsContext — attribution calls the allocator's

@@ -47,6 +47,9 @@ ClusterState::ClusterState(const FatTree& topo, double usable_bandwidth)
       leaf_bucket_(static_cast<std::size_t>(topo.trees()) *
                        (static_cast<std::size_t>(topo.nodes_per_leaf()) + 1),
                    0),
+      at_least_(static_cast<std::size_t>(topo.trees()) *
+                    (static_cast<std::size_t>(topo.nodes_per_leaf()) + 1),
+                topo.leaves_per_tree()),
       l2_up_count_(static_cast<std::size_t>(topo.total_l2()),
                    topo.spines_per_group()) {
   // Every leaf starts in its tree's "all nodes free" bucket.
@@ -75,6 +78,15 @@ void ClusterState::refresh_leaf_index(LeafId l) {
       static_cast<std::size_t>(t) * (static_cast<std::size_t>(m1) + 1);
   leaf_bucket_[base + static_cast<std::size_t>(old_count)] &= ~li_bit;
   leaf_bucket_[base + static_cast<std::size_t>(new_count)] |= li_bit;
+  // The leaf enters (or leaves) the at-least-c tally for every c between
+  // the two counts: |new - old| slots.
+  const std::size_t trees = static_cast<std::size_t>(topo_->trees());
+  const int step = new_count > old_count ? 1 : -1;
+  for (int c = std::min(old_count, new_count) + 1;
+       c <= std::max(old_count, new_count); ++c) {
+    at_least_[static_cast<std::size_t>(c) * trees +
+              static_cast<std::size_t>(t)] += step;
+  }
   if (old_count == m1) {
     fully_free_mask_[t] &= ~li_bit;
     --tree_fully_free_[t];
@@ -527,9 +539,15 @@ bool ClusterState::check_invariants() const {
     if (tree_free_[t] != sum) return false;
     if (tree_fully_free_[t] != fully) return false;
     if (fully_free_mask_[t] != fully_mask) return false;
-    for (std::size_t c = 0; c < stride; ++c) {
-      if (leaf_bucket_[static_cast<std::size_t>(t) * stride + c] !=
-          buckets[c]) {
+    int at_least = 0;
+    for (int c = m1; c >= 0; --c) {
+      const auto ci = static_cast<std::size_t>(c);
+      if (leaf_bucket_[static_cast<std::size_t>(t) * stride + ci] !=
+          buckets[ci]) {
+        return false;
+      }
+      at_least += popcount(buckets[ci]);
+      if (leaves_with_at_least(c)[static_cast<std::size_t>(t)] != at_least) {
         return false;
       }
     }
@@ -626,6 +644,14 @@ bool ClusterState::load_raw_state(const RawState& raw) {
     if (count == m1) {
       ++tree_fully_free_[t];
       fully_free_mask_[t] |= li_bit;
+    }
+  }
+  const std::size_t trees = static_cast<std::size_t>(topo_->trees());
+  for (std::size_t t = 0; t < trees; ++t) {
+    int at_least = 0;
+    for (std::size_t c = stride; c-- > 0;) {
+      at_least += popcount(leaf_bucket_[t * stride + c]);
+      at_least_[c * trees + t] = at_least;
     }
   }
   for (std::size_t l2 = 0; l2 < l2s; ++l2) {

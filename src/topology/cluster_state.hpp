@@ -18,9 +18,11 @@
 //
 //  * Incremental capacity indices. Every mutation — apply, release, fail,
 //    repair — maintains per-leaf free-node counts, per-tree free-node
-//    sums, per-tree fully-free-leaf masks, per-(tree, count) leaf buckets
-//    and per-L2 uplink popcounts, so allocator candidate collection reads
-//    O(1)/O(buckets) indices instead of rescanning every leaf and tree.
+//    sums, per-tree fully-free-leaf masks, per-(tree, count) leaf buckets,
+//    per-(count, tree) tallies of leaves with at least that many free
+//    nodes, and per-L2 uplink popcounts, so allocator candidate
+//    collection reads O(1)/O(buckets) indices instead of rescanning every
+//    leaf and tree.
 //
 //  * An undo journal. Inside a Txn, every mask/residual write records the
 //    old value; Txn::rollback() restores the touched words in reverse and
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "topology/allocation.hpp"
@@ -87,6 +90,16 @@ class ClusterState {
                                  topo_->nodes_per_leaf()) +
                              1) +
                         static_cast<std::size_t>(count)];
+  }
+  /// Element t is the number of leaves of tree t with at least `count`
+  /// free-and-healthy nodes (0 <= count <= nodes_per_leaf): the suffix
+  /// sums of the bucket popcounts, maintained rather than summed per
+  /// query. One contiguous row per count, so a capacity screen over all
+  /// trees is a single row scan.
+  std::span<const int> leaves_with_at_least(int count) const {
+    const std::size_t trees = static_cast<std::size_t>(topo_->trees());
+    return {at_least_.data() + static_cast<std::size_t>(count) * trees,
+            trees};
   }
   /// popcount(free_l2_up(t, l2_index)) without touching the masks.
   int free_l2_up_count(TreeId t, int l2_index) const {
@@ -314,7 +327,8 @@ class ClusterState {
   void set_residual_l2_up(std::size_t wire, double v);
 
   /// Re-derive every index slot that depends on leaf l (its free count,
-  /// bucket bit, fully-free bit, and the tree/total sums).
+  /// bucket bit, fully-free bit, at-least tallies and the tree/total
+  /// sums).
   void refresh_leaf_index(LeafId l);
   /// Re-derive the uplink popcount of flat L2 index l2.
   void refresh_l2_index(std::size_t l2);
@@ -343,6 +357,7 @@ class ClusterState {
   std::vector<int> tree_fully_free_;  // per tree: #leaves with count == m1
   std::vector<Mask> fully_free_mask_; // per tree: mask of fully-free leaves
   std::vector<Mask> leaf_bucket_;     // per (tree * (m1+1) + count)
+  std::vector<int> at_least_;         // per (count * trees + tree)
   std::vector<int> l2_up_count_;      // per (tree * w2 + i)
 
   // Undo journal; entries are recorded only while a Txn is open.

@@ -173,6 +173,9 @@ void expect_states_equal(const ClusterState& a, const ClusterState& b) {
       ASSERT_EQ(a.leaves_with_free_count(tr, c),
                 b.leaves_with_free_count(tr, c))
           << "tree " << tr << " count " << c;
+      ASSERT_EQ(a.leaves_with_at_least(c)[static_cast<std::size_t>(tr)],
+                b.leaves_with_at_least(c)[static_cast<std::size_t>(tr)])
+          << "tree " << tr << " count " << c;
     }
     for (int i = 0; i < t.l2_per_tree(); ++i) {
       ASSERT_EQ(a.free_l2_up(tr, i), b.free_l2_up(tr, i));

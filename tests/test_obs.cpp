@@ -527,6 +527,8 @@ TEST(SimulatorObs, EmitsLifecycleEventsAndMetrics) {
   EXPECT_EQ(reg.counter("sched.passes").value(), m.sched_passes);
   EXPECT_EQ(reg.counter("alloc.calls").value(), m.allocate_calls);
   EXPECT_EQ(reg.counter("alloc.search_steps").value(), m.search_steps);
+  EXPECT_EQ(reg.counter("sched.backfill_memo_skips").value(),
+            m.backfill_memo_skips);
   EXPECT_EQ(reg.histogram("sched.pass_seconds").count(), m.sched_passes);
   EXPECT_GT(reg.histogram("jobs.wait_seconds").count(), 0u);
   // Occupancy gauges were sampled and the run ended with an empty machine.

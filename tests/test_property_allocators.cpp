@@ -105,6 +105,70 @@ INSTANTIATE_TEST_SUITE_P(
                                          Scheme::kLc, Scheme::kLcs),
                        ::testing::Range(0, 8)));
 
+// Resource-monotonicity certificate: a request allocate() places in a
+// state is still placed after any one running allocation is released.
+// The scheduler's galloped shadow search and its backfill failure memo
+// both rest on this: placeability only grows as resources return.
+class ResourceMonotonicity
+    : public ::testing::TestWithParam<std::tuple<Scheme, int>> {};
+
+TEST_P(ResourceMonotonicity, ReleaseKeepsAPlaceableRequestPlaceable) {
+  const auto [scheme, radix] = GetParam();
+  const AllocatorPtr allocator = make(scheme);
+  const FatTree t = FatTree::from_radix(radix);
+  ClusterState state(t);
+  Rng rng(static_cast<std::uint64_t>(radix) * 6151 +
+          static_cast<std::uint64_t>(scheme));
+  auto demand = [&] {
+    return scheme == Scheme::kLcs
+               ? 0.5 + 0.5 * static_cast<double>(rng.below(4))
+               : 0.0;
+  };
+  std::map<JobId, Allocation> live;
+  int checks = 0;
+  for (JobId job = 0; job < 300; ++job) {
+    if (!live.empty() && rng.below(3) == 0) {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+      state.release(it->second);
+      live.erase(it);
+    } else {
+      const int size = 1 + static_cast<int>(rng.below(
+                               static_cast<std::uint64_t>(t.total_nodes() / 3)));
+      if (auto a = allocator->allocate(state, JobRequest{job, size, demand()})) {
+        state.apply(*a);
+        live.emplace(job, std::move(*a));
+      }
+    }
+    // Requests that fit now must fit after each single release.
+    for (int p = 0; p < 4; ++p) {
+      const JobRequest probe{
+          -1,
+          1 + static_cast<int>(rng.below(
+                  static_cast<std::uint64_t>(state.total_free_nodes() + 1))),
+          demand()};
+      if (!allocator->allocate(state, probe).has_value()) continue;
+      for (const auto& [id, running] : live) {
+        ClusterState::Txn txn(state);
+        state.release(running);
+        ASSERT_TRUE(allocator->allocate(state, probe).has_value())
+            << "placing " << probe.nodes
+            << " nodes stopped working after job " << id << " released "
+            << running.allocated_nodes() << " nodes";
+        ++checks;
+      }
+    }
+  }
+  EXPECT_GT(checks, 2000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesAndRadices, ResourceMonotonicity,
+    ::testing::Combine(::testing::Values(Scheme::kBaseline, Scheme::kJigsaw,
+                                         Scheme::kLaas, Scheme::kTa,
+                                         Scheme::kLc, Scheme::kLcs),
+                       ::testing::Values(4, 6, 8)));
+
 class PackingCompleteness : public ::testing::TestWithParam<int> {};
 
 TEST_P(PackingCompleteness, JigsawPacksUniformJobsPerfectly) {

@@ -123,6 +123,11 @@ TEST(QuickReject, DecisionNeutralOnSynth16AllSchemes) {
     EXPECT_EQ(m_on.completed, m_off.completed);
 
     EXPECT_EQ(m_off.quick_rejects, 0u);
+    // The backfill failure memo fires on this workload, and it skips the
+    // same candidates whether their earlier failure was a search or a
+    // quick-reject.
+    EXPECT_GT(m_off.backfill_memo_skips, 0u);
+    EXPECT_EQ(m_on.backfill_memo_skips, m_off.backfill_memo_skips);
     // TA is the exception: it blocks on uplink-isolation conditions while
     // free nodes stay plentiful (it runs the lowest utilization of the
     // five schemes), so the node-shortage screen legitimately never fires

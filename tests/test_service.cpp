@@ -139,6 +139,34 @@ TEST_F(ServiceTest, ParseAndRequestErrors) {
   EXPECT_TRUE(has_error(
       daemon->handle_line("{\"op\":\"fail\",\"target\":\"flux capacitor\"}"),
       "bad_request"));  // unparseable fault target
+  // An overflowing bandwidth parses to +inf; acked, it would be logged
+  // as a payload recovery cannot read back.
+  EXPECT_TRUE(has_error(
+      daemon->handle_line("{\"op\":\"submit\",\"nodes\":4,\"runtime\":10,"
+                          "\"bandwidth\":1e999}"),
+      "bad_request"));
+  // Ids must be integers a double holds exactly: no fractions, nothing
+  // past 2^53 (the int64 conversion of 1e300 is undefined).
+  for (const char* id : {"1.5", "1e300", "9.3e18", "9007199254740994", "-1"}) {
+    SCOPED_TRACE(id);
+    EXPECT_TRUE(has_error(
+        daemon->handle_line(std::string("{\"op\":\"submit\",\"id\":") + id +
+                            ",\"nodes\":2,\"runtime\":10}"),
+        "bad_request"));
+    EXPECT_TRUE(has_error(
+        daemon->handle_line(std::string("{\"op\":\"cancel\",\"job\":") + id +
+                            "}"),
+        "bad_request"));
+    EXPECT_TRUE(has_error(
+        daemon->handle_line(std::string("{\"op\":\"status\",\"job\":") + id +
+                            "}"),
+        "bad_request"));
+  }
+  // 2^53 itself is still a valid id.
+  const std::string largest = daemon->handle_line(
+      "{\"op\":\"submit\",\"id\":9007199254740992,\"nodes\":2,"
+      "\"runtime\":10}");
+  EXPECT_TRUE(is_ok(largest)) << largest;
 }
 
 TEST_F(ServiceTest, SubmitLifecycle) {
