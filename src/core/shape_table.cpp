@@ -26,6 +26,27 @@ constexpr std::uint32_t kVersion = 3;
 /// magic + version + m1..m3 + reserved + crc + payload length.
 constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 6 * 4 + 8;
 
+/// The header after the magic.
+struct Header {
+  std::uint32_t version = kVersion;
+  std::uint32_t m1 = 0;
+  std::uint32_t m2 = 0;
+  std::uint32_t m3 = 0;
+  std::uint32_t reserved = 0;  // keeps the payload 8-aligned at offset 40
+  std::uint32_t crc = 0;       // of the payload
+  std::uint64_t payload_bytes = 0;
+};
+
+constexpr auto header_fields = [](auto& io, auto& h) {
+  io.u32(h.version);
+  io.u32(h.m1);
+  io.u32(h.m2);
+  io.u32(h.m3);
+  io.u32(h.reserved);
+  io.u32(h.crc);
+  io.u64(h.payload_bytes);
+};
+
 // Zero-copy contract: a record in the file is the in-memory struct image.
 static_assert(sizeof(TwoLevelShape) == 12 && alignof(TwoLevelShape) == 4);
 static_assert(sizeof(ThreeLevelShape) == 20 && alignof(ThreeLevelShape) == 4);
@@ -81,17 +102,17 @@ std::string ShapeTable::serialize(const FatTree& topo) {
     w.u32(static_cast<std::uint32_t>(s.rem_leaf_nodes));
   }
 
+  Header header;
+  header.m1 = static_cast<std::uint32_t>(topo.nodes_per_leaf());
+  header.m2 = static_cast<std::uint32_t>(topo.leaves_per_tree());
+  header.m3 = static_cast<std::uint32_t>(topo.trees());
+  header.crc = service::crc32(payload.data(), payload.size());
+  header.payload_bytes = payload.size();
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
   out.append(kMagic, sizeof(kMagic));
   BufWriter h(out);
-  h.u32(kVersion);
-  h.u32(static_cast<std::uint32_t>(topo.nodes_per_leaf()));
-  h.u32(static_cast<std::uint32_t>(topo.leaves_per_tree()));
-  h.u32(static_cast<std::uint32_t>(topo.trees()));
-  h.u32(0);  // reserved; keeps the payload 8-aligned at offset 40
-  h.u32(service::crc32(payload.data(), payload.size()));
-  h.u64(payload.size());
+  header_fields(h, header);
   out.append(payload);
   return out;
 }
@@ -132,15 +153,11 @@ std::shared_ptr<const ShapeTable> ShapeTable::load(const std::string& path,
   if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
     return report("bad magic");
   }
+  Header header;
   BufReader r(std::string_view(base + sizeof(kMagic),
                                kHeaderBytes - sizeof(kMagic)));
-  const std::uint32_t version = r.u32();
-  const std::uint32_t m1 = r.u32();
-  const std::uint32_t m2 = r.u32();
-  const std::uint32_t m3 = r.u32();
-  r.u32();  // reserved
-  const std::uint32_t crc = r.u32();
-  const std::uint64_t payload_bytes = r.u64();
+  header_fields(r, header);
+  const auto [version, m1, m2, m3, reserved, crc, payload_bytes] = header;
   if (version != kVersion) {
     return report("version " + std::to_string(version) + " (want " +
                   std::to_string(kVersion) + ")");

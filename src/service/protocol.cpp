@@ -208,76 +208,50 @@ std::string ok_reply(const std::string& body, const std::string& seq) {
 
 namespace {
 
-void field(std::string& out, const char* name, double v, bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  out += '"';
-  out += name;
-  out += "\":";
-  if (std::isfinite(v)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
-  } else {
-    // +/-inf can legitimately appear (makespan of an empty run); keep the
-    // reply valid JSON and exactly invertible.
-    out += '"';
-    out += v > 0 ? "inf" : (v < 0 ? "-inf" : "nan");
-    out += '"';
+/// Renders the named scalars of metrics_fields (sim/metrics.hpp) as one
+/// flat JSON object; the two sequences stay out of the reply.
+class MetricsJson {
+ public:
+  void f64(double v, const char* name) {
+    key(name);
+    if (std::isfinite(v)) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", v);
+      out += buf;
+    } else {
+      // +/-inf can legitimately appear (makespan of an empty run); keep
+      // the reply valid JSON and exactly invertible.
+      out += '"';
+      out += v > 0 ? "inf" : (v < 0 ? "-inf" : "nan");
+      out += '"';
+    }
   }
-}
+  template <typename T>
+  void u64(const T& v, const char* name) {
+    key(name);
+    out += std::to_string(static_cast<std::uint64_t>(v));
+  }
+  template <typename Seq, typename Fn>
+  void seq(const Seq&, Fn&&) {}
 
-void field(std::string& out, const char* name, std::uint64_t v, bool* first) {
-  if (!*first) out += ',';
-  *first = false;
-  out += '"';
-  out += name;
-  out += "\":";
-  out += std::to_string(v);
-}
+  std::string out = "{";
+
+ private:
+  void key(const char* name) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += name;
+    out += "\":";
+  }
+};
 
 }  // namespace
 
 std::string metrics_json(const SimMetrics& m) {
-  std::string out = "{";
-  bool first = true;
-  field(out, "steady_utilization", m.steady_utilization, &first);
-  field(out, "steady_waste", m.steady_waste, &first);
-  field(out, "steady_start", m.steady_start, &first);
-  field(out, "steady_end", m.steady_end, &first);
-  field(out, "makespan", m.makespan, &first);
-  field(out, "mean_turnaround_all", m.mean_turnaround_all, &first);
-  field(out, "mean_turnaround_large", m.mean_turnaround_large, &first);
-  field(out, "large_jobs", static_cast<std::uint64_t>(m.large_jobs), &first);
-  field(out, "mean_wait", m.mean_wait, &first);
-  field(out, "completed", static_cast<std::uint64_t>(m.completed), &first);
-  field(out, "sched_wall_seconds", m.sched_wall_seconds, &first);
-  field(out, "sched_passes", m.sched_passes, &first);
-  field(out, "allocate_calls", m.allocate_calls, &first);
-  field(out, "search_steps", m.search_steps, &first);
-  field(out, "budget_exhaustions", m.budget_exhaustions, &first);
-  field(out, "backfill_memo_skips", m.backfill_memo_skips, &first);
-  field(out, "mean_sched_time_per_job", m.mean_sched_time_per_job, &first);
-  field(out, "fault_events", m.fault_events, &first);
-  field(out, "resources_failed", m.resources_failed, &first);
-  field(out, "resources_repaired", m.resources_repaired, &first);
-  field(out, "jobs_killed", m.jobs_killed, &first);
-  field(out, "jobs_requeued", m.jobs_requeued, &first);
-  field(out, "grants_rejected", m.grants_rejected, &first);
-  field(out, "abandoned", static_cast<std::uint64_t>(m.abandoned), &first);
-  field(out, "cancelled", static_cast<std::uint64_t>(m.cancelled), &first);
-  field(out, "migration_plans", m.migration_plans, &first);
-  field(out, "migration_plans_failed", m.migration_plans_failed, &first);
-  field(out, "migration_plans_aborted", m.migration_plans_aborted, &first);
-  field(out, "migrations", m.migrations, &first);
-  field(out, "migration_node_seconds", m.migration_node_seconds, &first);
-  field(out, "head_unblocks", m.head_unblocks, &first);
-  field(out, "head_unblock_failures", m.head_unblock_failures, &first);
-  field(out, "p50_turnaround", m.p50_turnaround, &first);
-  field(out, "p90_turnaround", m.p90_turnaround, &first);
-  field(out, "p99_turnaround", m.p99_turnaround, &first);
-  out += '}';
-  return out;
+  MetricsJson json;
+  metrics_fields(json, m);
+  json.out += '}';
+  return std::move(json.out);
 }
 
 }  // namespace jigsaw::service

@@ -84,7 +84,6 @@ class Reactor {
   /// response the daemon speaks: the HTTP reply to `GET /metrics`.
   void send_raw(ClientId client, const std::string& bytes);
   void close_client(ClientId client);
-  std::size_t client_count() const { return clients_.size(); }
 
   /// Run until request_stop() (or a byte on notify_fd()). Dispatches
   /// reads, the line handler, writes, then the idle handler, each
@@ -94,7 +93,6 @@ class Reactor {
   /// Stop from within a handler (e.g. the shutdown op): run() returns
   /// after finishing the current iteration's queued writes.
   void request_stop() { stop_requested_ = true; }
-  bool stop_requested() const { return stop_requested_; }
 
   /// Write end of the self-pipe; writing one byte wakes and stops run().
   /// Async-signal-safe to write to.

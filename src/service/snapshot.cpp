@@ -21,55 +21,35 @@ constexpr std::uint32_t kVersion = 1;
 /// magic + version + payload length + trailing crc.
 constexpr std::size_t kFrameBytes = sizeof(kMagic) + 4 + 8 + 4;
 
-void encode_payload(const SnapshotData& data, std::string* out) {
-  BufWriter w(*out);
-  w.u64(data.epoch);
-  w.str(data.clock);
-  w.i64(data.next_job_id);
-  w.u64(data.next_corr);
-  w.u64(data.corr.size());
-  for (const auto& [job, corr] : data.corr) {
-    w.i64(job);
-    w.u64(corr);
-  }
-  w.u64(data.grants);
-  w.u64(data.releases);
-  w.f64(data.wall_target);
-  w.u8(data.drained ? 1 : 0);
-  w.str(data.engine_blob);
-}
+constexpr auto corr_fields = [](auto& io, auto& entry) {
+  io.i64(entry.first);   // job
+  io.u64(entry.second);  // correlation id
+};
 
-bool decode_payload(std::string_view payload, SnapshotData* out,
-                    std::string* error) {
-  BufReader r(payload);
-  out->epoch = r.u64();
-  out->clock = r.str();
-  out->next_job_id = r.i64();
-  out->next_corr = r.u64();
-  const std::uint64_t n_corr = r.u64();
-  if (n_corr > r.remaining() / 16) r.fail();
-  if (r.ok()) {
-    out->corr.resize(static_cast<std::size_t>(n_corr));
-    for (auto& [job, corr] : out->corr) {
-      job = r.i64();
-      corr = r.u64();
-    }
-  }
-  out->grants = r.u64();
-  out->releases = r.u64();
-  out->wall_target = r.f64();
-  out->drained = r.u8() != 0;
-  out->engine_blob = r.str();
-  if (!r.ok()) {
-    *error = "truncated snapshot payload";
-    return false;
-  }
-  if (r.remaining() != 0) {
-    *error = "trailing bytes in snapshot payload";
-    return false;
-  }
-  return true;
-}
+/// SnapshotData's field list (util/binio.hpp): the payload.
+constexpr auto payload_fields = [](auto& io, auto& data) {
+  io.u64(data.epoch);
+  io.str(data.clock);
+  io.i64(data.next_job_id);
+  io.u64(data.next_corr);
+  io.seq(data.corr, corr_fields);
+  io.u64(data.grants);
+  io.u64(data.releases);
+  io.f64(data.wall_target);
+  io.flag(data.drained);
+  io.str(data.engine_blob);
+};
+
+/// The frame header after the magic.
+struct FrameHeader {
+  std::uint32_t version = kVersion;
+  std::uint64_t payload_bytes = 0;
+};
+
+constexpr auto frame_header_fields = [](auto& io, auto& h) {
+  io.u32(h.version);
+  io.u64(h.payload_bytes);
+};
 
 bool write_all(int fd, const char* p, std::size_t n, std::string* error) {
   while (n > 0) {
@@ -107,20 +87,17 @@ std::string snapshot_path(const std::string& wal_path, std::uint64_t epoch) {
 bool write_snapshot_file(const std::string& path, const SnapshotData& data,
                          std::string* error) {
   std::string payload;
-  encode_payload(data, &payload);
+  BufWriter payload_writer(payload);
+  payload_fields(payload_writer, data);
+  FrameHeader header;
+  header.payload_bytes = payload.size();
   std::string file;
   file.reserve(kFrameBytes + payload.size());
   file.append(kMagic, sizeof(kMagic));
-  {
-    BufWriter w(file);
-    w.u32(kVersion);
-    w.u64(payload.size());
-  }
+  BufWriter w(file);
+  frame_header_fields(w, header);
   file += payload;
-  {
-    BufWriter w(file);
-    w.u32(crc32(payload.data(), payload.size()));
-  }
+  w.u32(crc32(payload.data(), payload.size()));
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) {
@@ -162,33 +139,35 @@ SnapshotReadStatus read_snapshot_file(const std::string& path,
     *error = "bad or short snapshot header: " + path;
     return SnapshotReadStatus::kCorrupt;
   }
-  BufReader header(
-      std::string_view(file).substr(sizeof(kMagic), 12));
-  const std::uint32_t version = header.u32();
-  const std::uint64_t payload_len = header.u64();
-  if (version != kVersion) {
-    *error = "unsupported snapshot version " + std::to_string(version) + ": " +
-             path;
+  FrameHeader header;
+  BufReader header_reader(std::string_view(file).substr(sizeof(kMagic), 12));
+  frame_header_fields(header_reader, header);
+  if (header.version != kVersion) {
+    *error = "unsupported snapshot version " + std::to_string(header.version) +
+             ": " + path;
     return SnapshotReadStatus::kCorrupt;
   }
-  if (payload_len != file.size() - kFrameBytes) {
+  if (header.payload_bytes != file.size() - kFrameBytes) {
     *error = "snapshot length mismatch: " + path;
     return SnapshotReadStatus::kCorrupt;
   }
-  const std::string_view payload =
-      std::string_view(file).substr(sizeof(kMagic) + 12,
-                                    static_cast<std::size_t>(payload_len));
+  const std::string_view payload = std::string_view(file).substr(
+      sizeof(kMagic) + 12, static_cast<std::size_t>(header.payload_bytes));
   std::uint32_t stored_crc = 0;
-  {
-    BufReader tail(std::string_view(file).substr(file.size() - 4));
-    stored_crc = tail.u32();
-  }
+  BufReader tail(std::string_view(file).substr(file.size() - 4));
+  tail.u32(stored_crc);
   if (stored_crc != crc32(payload.data(), payload.size())) {
     *error = "snapshot checksum mismatch: " + path;
     return SnapshotReadStatus::kCorrupt;
   }
-  if (!decode_payload(payload, out, error)) {
-    *error += ": " + path;
+  BufReader r(payload);
+  payload_fields(r, *out);
+  if (!r.ok()) {
+    *error = "truncated snapshot payload: " + path;
+    return SnapshotReadStatus::kCorrupt;
+  }
+  if (r.remaining() != 0) {
+    *error = "trailing bytes in snapshot payload: " + path;
     return SnapshotReadStatus::kCorrupt;
   }
   return SnapshotReadStatus::kOk;

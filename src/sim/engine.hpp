@@ -219,6 +219,16 @@ class SimEngine {
   void handle_migration_start(double now);
   void handle_migration_done(double now);
 
+  /// State the snapshot blob holds in a canonical form rather than as
+  /// the engine keeps it: the cluster's raw masks and the pending events
+  /// in seq order (engine_snapshot.cpp).
+  struct BlobParts;
+  /// The snapshot blob's one field list (engine_snapshot.cpp): serialize()
+  /// runs it with a BufWriter over `const SimEngine`, deserialize() with
+  /// a BufReader over the engine being restored.
+  template <typename IO, typename Self>
+  static void blob_fields(IO& io, Self& engine, BlobParts& parts);
+
   const FatTree* topo_;
   const Allocator* allocator_;
   SimConfig config_;

@@ -22,7 +22,8 @@
 namespace jigsaw {
 
 /// New types append at the end: the type is serialized as its u8 value in
-/// engine snapshots, so existing values are wire-frozen.
+/// engine snapshots, so existing values are wire-frozen, and the blob's
+/// event list (sim/engine_snapshot.cpp) names the last value it accepts.
 enum class EventType {
   kArrival,
   kCompletion,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "topology/ids.hpp"
+#include "util/binio.hpp"
 
 namespace jigsaw {
 
@@ -61,22 +62,15 @@ class UtilizationTimeline {
   /// Mean fraction of nodes allocated but wasted over [start, end].
   double waste_fraction(double start, double end) const;
 
-  // -- snapshot access (service/snapshot) ---------------------------------
+ private:
+  friend class SimEngine;  // its snapshot blob lists busy_, waste_, points_
+
   struct Point {
     double time;
     int busy;
     int waste;
   };
-  const std::vector<Point>& points() const { return points_; }
-  /// Replace the timeline wholesale (points must be time-ordered and the
-  /// busy/waste counters must match the last point's state).
-  void restore(int busy, int waste, std::vector<Point> points) {
-    busy_ = busy;
-    waste_ = waste;
-    points_ = std::move(points);
-  }
 
- private:
   double integrate(double start, double end, bool waste) const;
 
   int system_nodes_;
@@ -143,6 +137,60 @@ struct SimMetrics {
   double p99_turnaround = 0.0;
   /// Per-job outcomes; filled only when SimConfig::collect_job_records.
   std::vector<JobRecord> job_records;
+};
+
+/// JobRecord's field list (util/binio.hpp).
+inline constexpr auto job_record_fields = [](auto& io, auto& r) {
+  io.i64(r.job);
+  io.i64(r.nodes);
+  io.f64(r.arrival);
+  io.f64(r.start);
+  io.f64(r.end);
+};
+
+/// SimMetrics' one field list (util/binio.hpp), with each scalar's name.
+/// The engine snapshot blob stores every field in this order, and
+/// service::metrics_json renders the named scalars, in this order, as
+/// the drain reply. Changing the list changes the blob format.
+inline constexpr auto metrics_fields = [](auto& io, auto& m) {
+  io.f64(m.steady_utilization, "steady_utilization");
+  io.f64(m.steady_waste, "steady_waste");
+  io.f64(m.steady_start, "steady_start");
+  io.f64(m.steady_end, "steady_end");
+  io.f64(m.makespan, "makespan");
+  io.f64(m.mean_turnaround_all, "mean_turnaround_all");
+  io.f64(m.mean_turnaround_large, "mean_turnaround_large");
+  io.u64(m.large_jobs, "large_jobs");
+  io.f64(m.mean_wait, "mean_wait");
+  io.u64(m.completed, "completed");
+  io.f64(m.sched_wall_seconds, "sched_wall_seconds");
+  io.u64(m.sched_passes, "sched_passes");
+  io.u64(m.allocate_calls, "allocate_calls");
+  io.u64(m.search_steps, "search_steps");
+  io.u64(m.budget_exhaustions, "budget_exhaustions");
+  io.u64(m.quick_rejects, "quick_rejects");
+  io.u64(m.backfill_memo_skips, "backfill_memo_skips");
+  io.f64(m.mean_sched_time_per_job, "mean_sched_time_per_job");
+  io.u64(m.fault_events, "fault_events");
+  io.u64(m.resources_failed, "resources_failed");
+  io.u64(m.resources_repaired, "resources_repaired");
+  io.u64(m.jobs_killed, "jobs_killed");
+  io.u64(m.jobs_requeued, "jobs_requeued");
+  io.u64(m.grants_rejected, "grants_rejected");
+  io.u64(m.abandoned, "abandoned");
+  io.u64(m.cancelled, "cancelled");
+  io.seq(m.instant_utilization, f64_each);
+  io.f64(m.p50_turnaround, "p50_turnaround");
+  io.f64(m.p90_turnaround, "p90_turnaround");
+  io.f64(m.p99_turnaround, "p99_turnaround");
+  io.seq(m.job_records, job_record_fields);
+  io.u64(m.migration_plans, "migration_plans");
+  io.u64(m.migration_plans_failed, "migration_plans_failed");
+  io.u64(m.migration_plans_aborted, "migration_plans_aborted");
+  io.u64(m.migrations, "migrations");
+  io.f64(m.migration_node_seconds, "migration_node_seconds");
+  io.u64(m.head_unblocks, "head_unblocks");
+  io.u64(m.head_unblock_failures, "head_unblock_failures");
 };
 
 }  // namespace jigsaw

@@ -226,29 +226,6 @@ class ClusterState {
     std::size_t frame_;
   };
 
-  /// RAII apply: claims `a` on construction, returns it on destruction
-  /// unless keep() is called. Handy for "place tentatively, test, maybe
-  /// keep" logic outside a full Txn.
-  class ScopedPlacement {
-   public:
-    ScopedPlacement(ClusterState& state, const Allocation& a)
-        : state_(&state), alloc_(&a) {
-      state.apply(a);
-    }
-    ~ScopedPlacement() {
-      if (state_ != nullptr) state_->release(*alloc_);
-    }
-    ScopedPlacement(const ScopedPlacement&) = delete;
-    ScopedPlacement& operator=(const ScopedPlacement&) = delete;
-
-    /// Leave the placement applied.
-    void keep() { state_ = nullptr; }
-
-   private:
-    ClusterState* state_;
-    const Allocation* alloc_;
-  };
-
   /// True while at least one Txn is open (mutations are being journaled).
   bool in_txn() const { return !frames_.empty(); }
 

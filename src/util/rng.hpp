@@ -28,11 +28,8 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x2545f4914f6cdd1dULL) { reseed(seed); }
-
-  void reseed(std::uint64_t seed) {
-    std::uint64_t sm = seed;
-    for (auto& word : state_) word = splitmix64(sm);
+  explicit Rng(std::uint64_t seed = 0x2545f4914f6cdd1dULL) {
+    for (auto& word : state_) word = splitmix64(seed);
   }
 
   static constexpr result_type min() { return 0; }

@@ -245,31 +245,6 @@ TEST(DefragPlanner, NoCandidatesOrImmovableJobsYieldNoPlan) {
 // Engine integration.
 // ---------------------------------------------------------------------------
 
-/// The crafted trace (see file header): ids 1..7 arrive at t=0 in the
-/// packing order above; the 2-node leaf-mates run 100 s, everything else
-/// 10000 s; the 12-node head H=8 arrives at t=10.
-std::vector<Job> crafted_trace() {
-  std::vector<Job> jobs;
-  const auto add = [&](JobId id, double arrival, int nodes, double runtime) {
-    Job j;
-    j.id = id;
-    j.arrival = arrival;
-    j.nodes = nodes;
-    j.runtime = runtime;
-    j.bandwidth = 0.0;
-    jobs.push_back(j);
-  };
-  add(1, 0.0, 2, 100.0);      // C: packs a leaf with A, exits early
-  add(2, 0.0, 2, 10000.0);    // A: the migration victim
-  add(3, 0.0, 2, 100.0);      // D: packs a leaf with B, exits early
-  add(4, 0.0, 2, 10000.0);    // B
-  add(5, 0.0, 16, 10000.0);   // E/F/G: hold trees 1-3
-  add(6, 0.0, 16, 10000.0);
-  add(7, 0.0, 16, 10000.0);
-  add(8, 10.0, 12, 50.0);     // H: the stalled head
-  return jobs;
-}
-
 /// Drop the two wall-clock timing fields from a metrics_json string so
 /// the rest can be compared bit-for-bit across runs.
 std::string scrub_wall_fields(std::string text) {
@@ -289,7 +264,7 @@ SimMetrics run_crafted(const SimConfig& config, double* head_start,
   const FatTree topo(4, 4, 4);
   const JigsawAllocator jigsaw;
   SimEngine engine(topo, jigsaw, config);
-  for (const Job& j : crafted_trace()) engine.submit(j);
+  for (const Job& j : testing::defrag_stall_trace()) engine.submit(j);
   engine.run();
   const SimMetrics m = engine.finish();
   if (head_start != nullptr) {
@@ -408,7 +383,7 @@ SimConfig snapshot_config() {
 /// after the planning pass (pending plan awaiting its kMigrationStart)
 /// or inside the migration window (in-flight, kMigrationDone queued).
 void step_to_migration_point(SimEngine& engine, bool inside_window) {
-  for (const Job& j : crafted_trace()) engine.submit(j);
+  for (const Job& j : testing::defrag_stall_trace()) engine.submit(j);
   engine.step();  // t=0: everything starts
   engine.step();  // t=10: head arrives, blocked on capacity
   engine.step();  // t=100: leaf-mates complete; plan adopted

@@ -329,6 +329,43 @@ TEST_F(ServiceTest, FaultOpsFeedTheEngine) {
             std::string::npos);
 }
 
+// The drain reply carries every scalar SimMetrics field, quick_rejects
+// included: with the admission screen on, the daemon's count matches the
+// batch simulator's and is non-zero.
+TEST_F(ServiceTest, DrainReportsQuickRejects) {
+  config_.admission_quick_reject = true;
+  Trace trace;
+  Rng rng(0x0DDBA11ULL);
+  double arrival = 0.0;
+  for (JobId id = 0; id < 300; ++id) {
+    Job job;
+    job.id = id;
+    arrival += rng.uniform(0.0, 20.0);
+    job.arrival = arrival;
+    job.nodes = 1 + static_cast<int>(rng.uniform(0.0, 12.0));
+    job.runtime = rng.uniform(30.0, 900.0);
+    job.bandwidth = 0.0;
+    trace.jobs.push_back(job);
+  }
+  JigsawAllocator batch_allocator;
+  const SimMetrics reference =
+      simulate(topo_, batch_allocator, trace, config_);
+  ASSERT_GT(reference.quick_rejects, 0u);
+
+  auto daemon = make_daemon();
+  for (const Job& job : trace.jobs) {
+    ASSERT_TRUE(is_ok(daemon->handle_line(submit_line(job))));
+  }
+  const std::string metrics =
+      metrics_text(daemon->handle_line("{\"op\":\"drain\"}"));
+  EXPECT_NE(metrics.find("\"quick_rejects\":" +
+                         std::to_string(reference.quick_rejects) + ","),
+            std::string::npos)
+      << metrics;
+  EXPECT_EQ(scrub_wall_fields(metrics),
+            scrub_wall_fields(metrics_json(reference)));
+}
+
 TEST_F(ServiceTest, ParseHelpers) {
   ClockMode clock = ClockMode::kWall;
   EXPECT_TRUE(parse_clock_mode("virtual", &clock));

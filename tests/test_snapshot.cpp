@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "service/wal.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace jigsaw::service {
@@ -92,11 +94,8 @@ void write_file(const std::string& path, const std::string& bytes) {
 // File framing.
 // ---------------------------------------------------------------------------
 
-TEST(SnapshotFile, RoundTripPreservesEveryField) {
-  const std::string path =
-      ::testing::TempDir() + "snap_roundtrip_" + std::to_string(::getpid());
-  std::remove(path.c_str());
-
+/// Fixed SnapshotData with every field away from its default.
+SnapshotData sample_snapshot() {
   SnapshotData data;
   data.epoch = 7;
   data.clock = "virtual";
@@ -110,7 +109,47 @@ TEST(SnapshotFile, RoundTripPreservesEveryField) {
   // Arbitrary binary payload, embedded NULs included: the frame must be
   // 8-bit clean because engine blobs are raw binio bytes.
   data.engine_blob = std::string("\x00\xff\x7f engine\n\x01", 11);
+  return data;
+}
 
+/// Submit a 40-job radix-4 workload and process 30 event batches, so
+/// queues, the running set and the accumulators are all non-trivial.
+void drive_mid_run(SimEngine& engine) {
+  Rng rng(0x5EEDC0DEULL);
+  double arrival = 0.0;
+  for (std::size_t k = 0; k < 40; ++k) {
+    arrival += rng.uniform(0.0, 40.0);
+    Job job;
+    job.id = static_cast<JobId>(k);
+    job.nodes = 1 + static_cast<int>(rng.uniform(0.0, 6.0));
+    job.runtime = rng.uniform(30.0, 900.0);
+    job.arrival = arrival;
+    engine.submit(job);
+  }
+  for (int k = 0; k < 30 && !engine.idle(); ++k) engine.step();
+}
+
+/// The defrag stall trace on FatTree(4, 4, 4), stepped to t=100: three
+/// steps leave the adopted plan awaiting its migration-start event, a
+/// fourth runs the migration and leaves its window open.
+void drive_to_defrag_plan(SimEngine& engine, int steps) {
+  for (const Job& j : testing::defrag_stall_trace()) engine.submit(j);
+  for (int k = 0; k < steps; ++k) engine.step();
+}
+
+SimConfig defrag_config() {
+  SimConfig config;
+  config.defrag.enabled = true;
+  config.defrag.migration_cost = 40.0;
+  return config;
+}
+
+TEST(SnapshotFile, RoundTripPreservesEveryField) {
+  const std::string path =
+      ::testing::TempDir() + "snap_roundtrip_" + std::to_string(::getpid());
+  std::remove(path.c_str());
+
+  const SnapshotData data = sample_snapshot();
   std::string error;
   ASSERT_TRUE(write_snapshot_file(path, data, &error)) << error;
 
@@ -184,26 +223,9 @@ TEST(SnapshotEngine, MidRunSerializeRestoresBitIdentical) {
   const FatTree topo = FatTree::from_radix(4);
   const SimConfig config;
   JigsawAllocator allocator;
-  const std::vector<std::string> lines = workload(40);
 
-  // Drive an engine halfway: submit everything, then process half the
-  // event stream so queues, running set, and accumulators are all
-  // non-trivial at capture time.
   SimEngine engine(topo, allocator, config);
-  {
-    Rng rng(0x5EEDC0DEULL);
-    double arrival = 0.0;
-    for (std::size_t k = 0; k < 40; ++k) {
-      arrival += rng.uniform(0.0, 40.0);
-      Job job;
-      job.id = static_cast<JobId>(k);
-      job.nodes = 1 + static_cast<int>(rng.uniform(0.0, 6.0));
-      job.runtime = rng.uniform(30.0, 900.0);
-      job.arrival = arrival;
-      engine.submit(job);
-    }
-  }
-  for (int k = 0; k < 30 && !engine.idle(); ++k) engine.step();
+  drive_mid_run(engine);
   ASSERT_FALSE(engine.idle());  // capture genuinely mid-run
 
   std::string blob;
@@ -234,7 +256,7 @@ TEST(SnapshotEngine, DeserializeRejectsDamagedBlob) {
   job.id = 0;
   job.nodes = 2;
   job.runtime = 100.0;
-  job.arrival = 0.0;
+  job.arrival = 12.5;
   engine.submit(job);
 
   std::string blob;
@@ -244,6 +266,173 @@ TEST(SnapshotEngine, DeserializeRejectsDamagedBlob) {
   SimEngine victim(topo, allocator, config);
   EXPECT_FALSE(victim.deserialize(blob.substr(0, blob.size() / 2), &error));
   EXPECT_FALSE(error.empty());
+
+  // The only pending event is the arrival: its time is the first place
+  // the bit pattern of 12.5 appears, and its type byte follows it.
+  const double arrival = 12.5;
+  std::string time_bytes(sizeof(arrival), '\0');
+  std::memcpy(time_bytes.data(), &arrival, sizeof(arrival));
+  const std::size_t event = blob.find(time_bytes);
+  ASSERT_NE(event, std::string::npos);
+  const std::size_t type_at = event + sizeof(arrival);
+  ASSERT_EQ(blob[type_at], 0);  // EventType::kArrival
+
+  // An event type past the last enumerator.
+  std::string damaged = blob;
+  damaged[type_at] = static_cast<char>(0xEE);
+  error.clear();
+  SimEngine bad_type(topo, allocator, config);
+  EXPECT_FALSE(bad_type.deserialize(damaged, &error));
+  EXPECT_FALSE(error.empty());
+
+  // An arrival naming a job the blob never submitted.
+  damaged = blob;
+  damaged[type_at + 1] = 77;  // low byte of the event's job id
+  error.clear();
+  SimEngine bad_job(topo, allocator, config);
+  EXPECT_FALSE(bad_job.deserialize(damaged, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+// Corruption property over a blob with a defrag plan in flight (its
+// moves and their allocations are in the blob). Every proper prefix is
+// refused. Overwriting any 8-byte window with 2^62 covers every
+// sequence count; the blob is then refused, or it held a plain value
+// (a time, a mask, an id) and the restored engine writes the damaged
+// bytes back unchanged, which a count of 2^62 can never do. Nothing
+// throws.
+TEST(SnapshotEngine, DamagedBlobIsRefusedNotThrown) {
+  const FatTree topo(4, 4, 4);
+  const JigsawAllocator allocator;
+  const SimConfig config = defrag_config();
+  SimEngine engine(topo, allocator, config);
+  drive_to_defrag_plan(engine, 3);
+  ASSERT_EQ(engine.next_time(), engine.now());  // migration start pending
+
+  std::string blob;
+  std::string error;
+  ASSERT_TRUE(engine.serialize(&blob, &error)) << error;
+
+  for (std::size_t cut = 0; cut < blob.size(); ++cut) {
+    SimEngine victim(topo, allocator, config);
+    error.clear();
+    bool restored = true;
+    EXPECT_NO_THROW(restored = victim.deserialize(blob.substr(0, cut), &error))
+        << "cut at " << cut;
+    EXPECT_FALSE(restored) << "cut at " << cut;
+    EXPECT_FALSE(error.empty()) << "cut at " << cut;
+  }
+
+  const std::uint64_t huge = std::uint64_t{1} << 62;
+  std::size_t refused = 0;
+  for (std::size_t at = 0; at + 8 <= blob.size(); ++at) {
+    std::string damaged = blob;
+    for (std::size_t b = 0; b < 8; ++b) {
+      damaged[at + b] = static_cast<char>((huge >> (8 * b)) & 0xffu);
+    }
+    SimEngine victim(topo, allocator, config);
+    error.clear();
+    bool restored = false;
+    EXPECT_NO_THROW(restored = victim.deserialize(damaged, &error))
+        << "window at " << at;
+    if (!restored) {
+      EXPECT_FALSE(error.empty()) << "window at " << at;
+      ++refused;
+      continue;
+    }
+    std::string again;
+    ASSERT_TRUE(victim.serialize(&again, &error)) << error;
+    EXPECT_TRUE(again == damaged) << "window at " << at;
+  }
+  EXPECT_GT(refused, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Format goldens: crc32 and length of three engine blobs (mid-run; the
+// defrag stall trace with its plan adopted, and with its migration
+// window open) and of a JGSWSNP1 file. The values come from the
+// hand-written encoders the field lists replaced, so a list that moves
+// any byte of blob v4 or file v1 fails here.
+// ---------------------------------------------------------------------------
+
+std::uint32_t blob_version(const std::string& blob) {
+  std::uint32_t version = 0;
+  for (std::size_t k = 0; k < 4 && k < blob.size(); ++k) {
+    version |= static_cast<std::uint32_t>(static_cast<unsigned char>(blob[k]))
+               << (8 * k);
+  }
+  return version;
+}
+
+std::string u64_bytes(std::uint64_t v) {
+  std::string bytes(8, '\0');
+  for (std::size_t k = 0; k < 8; ++k) {
+    bytes[k] = static_cast<char>((v >> (8 * k)) & 0xffu);
+  }
+  return bytes;
+}
+
+/// crc32 of an engine blob taken before finish(), with its one
+/// wall-clock field, SimMetrics::sched_wall_seconds, zeroed. The field
+/// sits between two values the test knows, `completed` and
+/// `sched_passes` (one per step), so every 8 bytes found between those
+/// two are zeroed; the rest of the blob is deterministic.
+std::uint32_t crc_without_wall_time(std::string blob, std::uint64_t completed,
+                                    std::uint64_t passes) {
+  const std::string before = u64_bytes(completed);
+  const std::string after = u64_bytes(passes);
+  int matches = 0;
+  for (std::size_t at = 0; at + 24 <= blob.size(); ++at) {
+    if (blob.compare(at, 8, before) == 0 &&
+        blob.compare(at + 16, 8, after) == 0) {
+      blob.replace(at + 8, 8, 8, '\0');
+      ++matches;
+    }
+  }
+  EXPECT_GE(matches, 1);
+  return crc32(blob.data(), blob.size());
+}
+
+TEST(SnapshotFormat, BytesMatchGoldens) {
+  std::string error;
+  {
+    const FatTree topo = FatTree::from_radix(4);
+    JigsawAllocator allocator;
+    SimEngine engine(topo, allocator, SimConfig{});
+    drive_mid_run(engine);
+    std::string blob;
+    ASSERT_TRUE(engine.serialize(&blob, &error)) << error;
+    EXPECT_EQ(blob_version(blob), 4u);
+    EXPECT_EQ(blob.size(), 5444u);
+    EXPECT_EQ(crc_without_wall_time(blob, engine.completed_count(), 30),
+              2193442137u);
+  }
+  // Defrag stall trace with the plan adopted (3 steps: the blob holds
+  // its moves) and with its migration window open (4 steps).
+  const std::size_t defrag_sizes[2] = {3576u, 3706u};
+  const std::uint32_t defrag_crcs[2] = {140049073u, 1894804345u};
+  for (int k = 0; k < 2; ++k) {
+    const FatTree topo(4, 4, 4);
+    const JigsawAllocator allocator;
+    SimEngine engine(topo, allocator, defrag_config());
+    drive_to_defrag_plan(engine, 3 + k);
+    ASSERT_EQ(engine.migrations_in_flight(), k);
+    std::string blob;
+    ASSERT_TRUE(engine.serialize(&blob, &error)) << error;
+    EXPECT_EQ(blob_version(blob), 4u);
+    EXPECT_EQ(blob.size(), defrag_sizes[k]);
+    EXPECT_EQ(crc_without_wall_time(blob, engine.completed_count(), 3 + k),
+              defrag_crcs[k]);
+  }
+  {
+    const std::string path =
+        ::testing::TempDir() + "snap_golden_" + std::to_string(::getpid());
+    ASSERT_TRUE(write_snapshot_file(path, sample_snapshot(), &error)) << error;
+    const std::string file = read_file(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(file.size(), 163u);
+    EXPECT_EQ(crc32(file.data(), file.size()), 3400645537u);
+  }
 }
 
 // ---------------------------------------------------------------------------
