@@ -3,14 +3,18 @@
 // Wraps a SimEngine-backed ServiceDaemon in a socket reactor: clients
 // speak the newline-delimited JSON protocol (service/protocol.hpp) over a
 // Unix-domain socket or loopback TCP. The daemon write-ahead-logs every
-// accepted input, so `kill -9` mid-run loses nothing that was acked under
-// --wal-sync=always, and a restart with --recover replays the log,
-// audits the re-derived grants, and — when the log contains a drain
-// marker — finishes the run with metrics bit-identical to an
-// uninterrupted one (scripts/service_smoke.sh exercises exactly that).
+// accepted input and fsyncs it before the ack leaves (one fsync per
+// reactor turn, or per shard worker batch, covers every request of it),
+// so `kill -9` mid-run loses nothing that was acked, and a restart with
+// --recover replays the log, audits the re-derived grants, and — when
+// the log contains a drain marker — finishes the run with metrics
+// bit-identical to an uninterrupted one (scripts/service_smoke.sh
+// exercises exactly that). If such an fsync fails, the replies it covers
+// are dropped, the clients closed, and the daemon exits with status 1
+// for a --recover restart to take over.
 //
 //   $ ./jigsaw_daemon --radix 16 --listen unix:/tmp/jigsaw.sock
-//       --wal /tmp/jigsaw.wal --wal-sync always
+//       --wal /tmp/jigsaw.wal
 //   $ ./jigsaw_client --connect unix:/tmp/jigsaw.sock --op submit
 //       --nodes 32 --runtime 600
 //
@@ -95,9 +99,10 @@ int main(int argc, char** argv) {
                "virtual");
   flags.define("time-scale",
                "wall mode: event-clock seconds per wall-clock second", "1");
-  flags.define("wal", "write-ahead log path (empty = no WAL, no recovery)",
+  flags.define("wal",
+               "write-ahead log path; every ack waits for its fsync "
+               "(empty = no WAL, no recovery)",
                "");
-  flags.define("wal-sync", "fsync policy: none, batch, or always", "batch");
   flags.define_bool("recover", "replay an existing WAL before serving");
   flags.define("max-queue", "admission bound on active (queued+running) jobs",
                "4096");
@@ -204,10 +209,6 @@ int main(int argc, char** argv) {
     service::DaemonOptions options;
     if (!service::parse_clock_mode(flags.str("clock"), &options.clock)) {
       std::cerr << "--clock must be virtual or wall\n";
-      return 1;
-    }
-    if (!service::parse_sync_policy(flags.str("wal-sync"), &options.sync)) {
-      std::cerr << "--wal-sync must be none, batch, or always\n";
       return 1;
     }
     options.wal_path = flags.str("wal");
@@ -322,9 +323,19 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, on_signal);
     std::signal(SIGPIPE, SIG_IGN);
 
-    reactor.run();
+    if (!reactor.run()) {
+      // A group commit failed: the replies it covered were dropped unsent
+      // and every client closed. Exit non-zero so a restart with
+      // --recover takes over.
+      const std::string why =
+          shards != nullptr ? shards->failure() : daemon->wal_failure();
+      if (shards != nullptr) shards->stop();
+      if (sink != nullptr) sink->finish();
+      std::cerr << "daemon stopped: " << why << "; restart with --recover\n";
+      return 1;
+    }
 
-    // Graceful shutdown: make every acked input durable and finalize the
+    // Graceful shutdown: sync the grant/release tail and finalize the
     // event trace before exiting.
     if (shards != nullptr) {
       shards->stop();  // drains worker inboxes, flushes every WAL

@@ -11,6 +11,11 @@
 #      reference (excluding the wall-clock scheduling-time fields, which
 #      no two runs reproduce).
 #
+# Every kill -9 waits until the drain has logged its marker and its first
+# release, and the script fails if the drain finished first. Every WAL
+# daemon is held to group commit: at most one fsync per acknowledged
+# input, plus two per snapshot rotation.
+#
 # Then exercises the live observability plane:
 #
 #   3. a --metrics daemon is scraped over HTTP (GET /metrics on the same
@@ -83,6 +88,62 @@ stop_daemon() {
   DAEMON_PID=""
 }
 
+wal_bytes() { wc -c < "$1"; }
+
+# kill_mid_drain WAL PRE_BYTES DRAIN_OUT: kill -9 the daemon once the WAL
+# holds, past PRE_BYTES (its size before the drain), the drain marker and
+# the drain's first release record; then fail if the drain had finished
+# first (its ok reply reached the drain client's output DRAIN_OUT), which
+# would leave the mid-drain recovery path untested.
+kill_mid_drain() {
+  python3 - "$1" "$2" <<'EOF'
+import struct, sys, time
+path, pre = sys.argv[1], int(sys.argv[2])
+RELEASE = 6  # WalRecordType::kRelease
+deadline = time.monotonic() + 120
+while time.monotonic() < deadline:
+    with open(path, "rb") as f:
+        f.seek(pre)
+        data = f.read()
+    off = 0
+    while off + 8 <= len(data):
+        length, kind = struct.unpack_from("<II", data, off)
+        if off + 12 + length > len(data):
+            break
+        if kind == RELEASE:
+            sys.exit(0)
+        off += 12 + length
+    time.sleep(0.002)
+sys.exit(f"{path}: the drain logged no release within 120 s")
+EOF
+  kill -9 "$DAEMON_PID"
+  wait "$DAEMON_PID" 2>/dev/null || true
+  DAEMON_PID=""
+  wait "$DRAIN_PID" 2>/dev/null || true
+  if grep -q '"ok":true' "$3"; then
+    echo "drain finished before the kill; mid-drain recovery untested" >&2
+    exit 1
+  fi
+}
+
+# check_fsyncs STATS_JSON INPUTS: group commit made at most one fsync per
+# acknowledged input, plus two per snapshot rotation (one for the
+# retiring segment, one for the new segment's marker).
+check_fsyncs() {
+  python3 - "$1" "$2" <<'EOF'
+import json, sys
+stats = json.loads(open(sys.argv[1]).read().splitlines()[-1])["stats"]
+inputs = int(sys.argv[2])
+snapshots = stats.get("snapshots", 0)  # not summed by a sharded daemon
+bound = inputs + 2 * snapshots
+syncs = stats["wal_syncs"]
+assert syncs <= bound, \
+    f"{syncs} WAL fsyncs for {inputs} acked inputs (bound {bound}): {stats}"
+print(f"group commit: {syncs} WAL fsyncs for {inputs} acked inputs "
+      f"and {snapshots} snapshots")
+EOF
+}
+
 # ---- 1. reference: uninterrupted run ----------------------------------------
 echo "== reference run ($JOBS jobs) =="
 start_daemon
@@ -93,23 +154,18 @@ stop_daemon
 # ---- 2. crash run: kill -9 mid-drain ----------------------------------------
 echo "== crash run: kill -9 mid-drain =="
 # step-delay widens the drain so the kill reliably lands inside it.
-start_daemon --wal "$WORK/run.wal" --wal-sync always --step-delay-us 2000
+start_daemon --wal "$WORK/run.wal" --step-delay-us 2000
 "$CLIENT" --connect "unix:$SOCK" --op submit-trace --jobs "$JOBS" > /dev/null
-"$CLIENT" --connect "unix:$SOCK" --op drain > /dev/null 2>&1 &
+"$CLIENT" --connect "unix:$SOCK" --op stats > "$WORK/run_stats.json"
+check_fsyncs "$WORK/run_stats.json" "$JOBS"
+PRE_DRAIN=$(wal_bytes "$WORK/run.wal")
+"$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/run_drain.json" 2>&1 &
 DRAIN_PID=$!
-sleep 0.7
-if ! kill -0 "$DRAIN_PID" 2>/dev/null; then
-  echo "warning: drain finished before the kill; recovery still exercised" >&2
-fi
-kill -9 "$DAEMON_PID"
-wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
-wait "$DRAIN_PID" 2>/dev/null || true
-[ -s "$WORK/run.wal" ] || { echo "crash run left no WAL" >&2; exit 1; }
+kill_mid_drain "$WORK/run.wal" "$PRE_DRAIN" "$WORK/run_drain.json"
 
 # ---- 3. restart with --recover ----------------------------------------------
 echo "== recovery run =="
-start_daemon --wal "$WORK/run.wal" --wal-sync always --recover
+start_daemon --wal "$WORK/run.wal" --recover
 grep -q "recovered WAL" "$WORK/daemon.log" || {
   echo "daemon did not report a recovery:" >&2
   cat "$WORK/daemon.log" >&2
@@ -273,7 +329,7 @@ echo "== snapshot run: kill -9 mid-drain after compaction =="
 rm -f "$SOCK"
 # Cadence well below the job count so at least one compaction happens
 # before the drain; step-delay widens the drain for a reliable kill.
-start_daemon --wal "$WORK/snap.wal" --wal-sync always --snapshot-every 100 \
+start_daemon --wal "$WORK/snap.wal" --snapshot-every 100 \
   --step-delay-us 2000
 "$CLIENT" --connect "unix:$SOCK" --op submit-trace --jobs "$JOBS" > /dev/null
 "$CLIENT" --connect "unix:$SOCK" --op stats > "$WORK/snap_stats.json"
@@ -282,19 +338,14 @@ grep -q '"snapshots":0' "$WORK/snap_stats.json" && {
   cat "$WORK/snap_stats.json" >&2
   exit 1
 }
-"$CLIENT" --connect "unix:$SOCK" --op drain > /dev/null 2>&1 &
+check_fsyncs "$WORK/snap_stats.json" "$JOBS"
+PRE_DRAIN=$(wal_bytes "$WORK/snap.wal")
+"$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/snap_crash_drain.json" \
+  2>&1 &
 DRAIN_PID=$!
-sleep 0.7
-if ! kill -0 "$DRAIN_PID" 2>/dev/null; then
-  echo "warning: drain finished before the kill; recovery still exercised" >&2
-fi
-kill -9 "$DAEMON_PID"
-wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
-wait "$DRAIN_PID" 2>/dev/null || true
-[ -s "$WORK/snap.wal" ] || { echo "snapshot run left no WAL" >&2; exit 1; }
+kill_mid_drain "$WORK/snap.wal" "$PRE_DRAIN" "$WORK/snap_crash_drain.json"
 
-start_daemon --wal "$WORK/snap.wal" --wal-sync always --snapshot-every 100 \
+start_daemon --wal "$WORK/snap.wal" --snapshot-every 100 \
   --recover
 grep -q "snapshot epoch" "$WORK/daemon.log" || {
   echo "recovery did not restore from a snapshot:" >&2
@@ -343,7 +394,8 @@ EOF
 # ---- 8. sharded daemon: 2 clusters x 2 shards -------------------------------
 echo "== sharded daemon: 2 clusters x 2 shards =="
 rm -f "$SOCK"
-start_daemon --clusters 2 --shards 2 --metrics
+# With a WAL per cluster, so each worker batch is group-committed.
+start_daemon --clusters 2 --shards 2 --metrics --wal "$WORK/shard.wal"
 "$CLIENT" --connect "unix:$SOCK" --timeout 30 --op ping \
   > "$WORK/shard_ping.json"
 grep -q '"clusters":2' "$WORK/shard_ping.json" || {
@@ -386,6 +438,7 @@ grep -q '"per_cluster":\[' "$WORK/shard_stats.json" || {
   cat "$WORK/shard_stats.json" >&2
   exit 1
 }
+check_fsyncs "$WORK/shard_stats.json" $(( SHARD_JOBS * 2 ))
 "$CLIENT" --connect "unix:$SOCK" --timeout 60 --op drain \
   > "$WORK/shard_drain.json"
 python3 - "$WORK/shard_drain.json" <<'EOF'
@@ -467,25 +520,22 @@ grep -q '"head_unblocks":1' "$WORK/defrag_reference.json" || {
 stop_daemon
 
 rm -f "$SOCK"
-# The step delay stretches the ~10-step drain to ~1.5 s of wall time so
-# the kill lands around the migration steps (t=100 in simulated time).
+# The step delay stretches the ~10-step drain to ~1.5 s of wall time; the
+# first release is the t=100 completion of a leaf-mate, so the kill lands
+# around the migration steps.
 start_daemon --radix 8 --defrag --migration-cost 40 \
-  --wal "$WORK/defrag.wal" --wal-sync always --step-delay-us 150000
+  --wal "$WORK/defrag.wal" --step-delay-us 150000
 submit_defrag_workload
-"$CLIENT" --connect "unix:$SOCK" --op drain > /dev/null 2>&1 &
+"$CLIENT" --connect "unix:$SOCK" --op stats > "$WORK/defrag_run_stats.json"
+check_fsyncs "$WORK/defrag_run_stats.json" 12
+PRE_DRAIN=$(wal_bytes "$WORK/defrag.wal")
+"$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/defrag_crash_drain.json" \
+  2>&1 &
 DRAIN_PID=$!
-sleep 0.65
-if ! kill -0 "$DRAIN_PID" 2>/dev/null; then
-  echo "warning: defrag drain finished before the kill; recovery still exercised" >&2
-fi
-kill -9 "$DAEMON_PID"
-wait "$DAEMON_PID" 2>/dev/null || true
-DAEMON_PID=""
-wait "$DRAIN_PID" 2>/dev/null || true
-[ -s "$WORK/defrag.wal" ] || { echo "defrag crash run left no WAL" >&2; exit 1; }
+kill_mid_drain "$WORK/defrag.wal" "$PRE_DRAIN" "$WORK/defrag_crash_drain.json"
 
 start_daemon --radix 8 --defrag --migration-cost 40 \
-  --wal "$WORK/defrag.wal" --wal-sync always --recover
+  --wal "$WORK/defrag.wal" --recover
 grep -q "recovered WAL" "$WORK/daemon.log" || {
   echo "defrag daemon did not report a recovery:" >&2
   cat "$WORK/daemon.log" >&2

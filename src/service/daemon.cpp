@@ -77,19 +77,6 @@ bool parse_clock_mode(const std::string& text, ClockMode* out) {
   return true;
 }
 
-bool parse_sync_policy(const std::string& text, SyncPolicy* out) {
-  if (text == "none") {
-    *out = SyncPolicy::kNone;
-  } else if (text == "batch") {
-    *out = SyncPolicy::kBatch;
-  } else if (text == "always") {
-    *out = SyncPolicy::kAlways;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 ServiceDaemon::ServiceDaemon(const FatTree& topo, const Allocator& allocator,
                              const SimConfig& config, DaemonOptions options)
     : topo_(&topo),
@@ -228,12 +215,33 @@ bool ServiceDaemon::wal_append(WalRecordType type, const std::string& payload,
     obs::ScopedTimer timer(wal_append_seconds_, wal_append_seconds_ != nullptr);
     if (!wal_.append(type, payload, error)) return false;
   }
-  if (options_.sync == SyncPolicy::kAlways) {
-    obs::ScopedTimer timer(wal_sync_seconds_, wal_sync_seconds_ != nullptr);
-    return wal_.sync(error);
-  }
-  wal_dirty_ = true;
+  // Grants and releases ride along with the next input's sync: recovery
+  // re-derives them, so losing the unsynced tail of them loses nothing.
+  if (!wal_is_input(type)) return true;
+  input_unsynced_ = true;
+  // An input is durable before the engine applies it, unless the caller
+  // holds the reply for its own commit() (group commit).
+  return defer_sync_ || commit(error);
+}
+
+bool ServiceDaemon::sync_wal(std::string* error) {
+  obs::ScopedTimer timer(wal_sync_seconds_, wal_sync_seconds_ != nullptr);
+  if (!wal_.sync(error)) return false;
+  ++wal_syncs_;
+  input_unsynced_ = false;
   return true;
+}
+
+bool ServiceDaemon::commit(std::string* error) {
+  return !input_unsynced_ || sync_wal(error);
+}
+
+void ServiceDaemon::attach_reactor(Reactor* reactor) {
+  reactor_ = reactor;
+  reactor_->set_turn_end_handler([this] {
+    std::string error;  // kept by the writer: wal_failure()
+    return commit(&error);
+  });
 }
 
 bool ServiceDaemon::init(std::string* error) {
@@ -465,7 +473,7 @@ bool ServiceDaemon::recover_from_wal(const WalReadResult& log,
     std::string payload =
         "{\"epoch\":" + std::to_string(snapshot_epoch_) + "}";
     if (!wal_.append(WalRecordType::kSnapshot, payload, error)) return false;
-    if (options_.sync != SyncPolicy::kNone && !wal_.sync(error)) return false;
+    if (!sync_wal(error)) return false;
   }
   return ok;
 }
@@ -670,7 +678,7 @@ bool ServiceDaemon::snapshot_now(std::string* error) {
   // old segment still pairs with its own snapshot chain; between rename
   // and marker the .prev segment names the epoch (recover_from_wal's
   // rotation-crash case); after the marker the rotation simply finished.
-  if (!wal_.sync(error)) return false;
+  if (!sync_wal(error)) return false;
   wal_.close();
   const std::string prev = options_.wal_path + ".prev";
   if (::rename(options_.wal_path.c_str(), prev.c_str()) != 0) {
@@ -681,10 +689,7 @@ bool ServiceDaemon::snapshot_now(std::string* error) {
   const std::string marker =
       "{\"epoch\":" + std::to_string(data.epoch) + "}";
   if (!wal_.append(WalRecordType::kSnapshot, marker, error)) return false;
-  if (options_.sync != SyncPolicy::kNone) {
-    if (!wal_.sync(error)) return false;
-  }
-  wal_dirty_ = false;
+  if (!sync_wal(error)) return false;
   if (data.epoch >= 2) {
     // Two-generation retention: epoch-1 backs the corruption fallback,
     // anything older is unreachable (best-effort unlink).
@@ -750,11 +755,6 @@ double ServiceDaemon::input_clock() const {
 }
 
 double ServiceDaemon::on_idle() {
-  if (wal_dirty_ && options_.sync == SyncPolicy::kBatch) {
-    obs::ScopedTimer timer(wal_sync_seconds_, wal_sync_seconds_ != nullptr);
-    std::string error;
-    if (wal_.sync(&error)) wal_dirty_ = false;
-  }
   if (options_.clock != ClockMode::kWall) return -1.0;
   advance_wall();
   if (engine_->idle()) return -1.0;
@@ -765,9 +765,9 @@ double ServiceDaemon::on_idle() {
 }
 
 void ServiceDaemon::flush() {
-  if (!wal_.is_open()) return;
+  if (!wal_.is_open() || wal_.unsynced_records() == 0) return;
   std::string error;
-  if (wal_.sync(&error)) wal_dirty_ = false;
+  sync_wal(&error);
 }
 
 std::string ServiceDaemon::overflow_reply(bool oversized_line) {
@@ -779,9 +779,18 @@ std::string ServiceDaemon::overflow_reply(bool oversized_line) {
                      "per-client pending request queue is full");
 }
 
+std::string ServiceDaemon::handle_line_deferred(const std::string& line) {
+  defer_sync_ = true;
+  std::string reply = handle_line(line);
+  defer_sync_ = false;
+  return reply;
+}
+
 std::string ServiceDaemon::handle_line(const std::string& line) {
-  // Request-handling (ack) latency: parse to reply, every op. The timer
-  // is fully disabled without a registry (no clock reads).
+  // Request-handling (ack) latency: parse to reply, every op. A deferred
+  // input's fsync runs later, in commit(), and only wal.sync_seconds
+  // times it. The timer is fully disabled without a registry (no clock
+  // reads).
   obs::ScopedTimer ack_timer(ack_seconds_, ack_seconds_ != nullptr);
   Request req;
   ParseFailure failure;
@@ -986,6 +995,7 @@ std::string ServiceDaemon::handle_stats(const Request& req) {
   if (wal_.is_open()) {
     append_kv(s, "wal_bytes", wal_.bytes());
     append_kv(s, "wal_unsynced_records", wal_.unsynced_records());
+    append_kv(s, "wal_syncs", wal_syncs_);
     append_kv(s, "snapshot_epoch", snapshot_epoch_);
     append_kv(s, "snapshots", snapshots_taken_);
     append_kv(s, "inputs_since_snapshot", inputs_since_snapshot_);
@@ -1129,6 +1139,8 @@ std::string ServiceDaemon::handle_socket_line(Reactor::ClientId client,
       reactor_->close_client(client);
       return std::string();
     }
+    // The reactor's turn-end handler commits the whole turn at once.
+    return handle_line_deferred(line);
   }
   return handle_line(line);
 }
@@ -1197,10 +1209,7 @@ std::string ServiceDaemon::handle_drain(const Request& req) {
     }
     // The drain marker must be durable before the run starts: recovery
     // after a mid-drain crash re-drains only if the marker survived.
-    if (wal_.is_open() && options_.sync != SyncPolicy::kNone) {
-      if (wal_.sync(&error)) wal_dirty_ = false;
-    }
-    if (!run_drain(&error)) {
+    if (!commit(&error) || !run_drain(&error)) {
       return error_reply(ErrorCode::kInternal, error, req.seq);
     }
   }

@@ -8,8 +8,22 @@
 // the engine never gets ahead of the log, so a failed append rejects
 // the request with no state change (a torn record from a crash between
 // append and apply replays as an unacknowledged but consistent input),
-// and every acknowledged input is recoverable (under --wal-sync=always;
-// the batch policy trades the unsynced tail for throughput).
+// and every acknowledged input is recoverable.
+//
+// Durable acks: an input (submit, cancel, fault, drain) is fsynced before
+// its ack leaves. handle_line() syncs it inside the WAL append, before
+// the engine applies it, so a failed fsync refuses the request with no
+// state change. Group commit covers many requests with one fsync:
+// handle_line_deferred() leaves the sync to the caller's commit(), and
+// the caller holds the replies until it succeeds. attach_reactor()
+// installs commit() as the reactor's turn-end handler (one fsync per turn
+// that appended an input, before any reply of the turn is written), and
+// ShardSet workers commit once per inbox batch. If that fsync fails the
+// held replies are dropped and the service stops (jigsaw_daemon exits
+// non-zero for a --recover restart): the engine has applied inputs the
+// log may not hold, so it must not serve on. Grant and release records
+// are audit facts that recovery re-derives: they never force an fsync of
+// their own and ride along with the next one.
 //
 // Clock modes:
 //  * kVirtual — the engine's event clock only advances during `drain`,
@@ -70,17 +84,18 @@
 namespace jigsaw::service {
 
 enum class ClockMode { kVirtual, kWall };
-enum class SyncPolicy { kNone, kBatch, kAlways };
+/// Acks are always durable (see above). The one-value policy remains so
+/// that callers which name it keep compiling.
+enum class SyncPolicy { kAlways };
 
 const char* clock_mode_name(ClockMode mode);
-/// Parse "virtual"/"wall" and "none"/"batch"/"always"; false on junk.
+/// Parse "virtual"/"wall"; false on junk.
 bool parse_clock_mode(const std::string& text, ClockMode* out);
-bool parse_sync_policy(const std::string& text, SyncPolicy* out);
 
 struct DaemonOptions {
   ClockMode clock = ClockMode::kVirtual;
   std::string wal_path;  ///< empty: run without a WAL (no recovery)
-  SyncPolicy sync = SyncPolicy::kBatch;
+  SyncPolicy sync = SyncPolicy::kAlways;
   bool recover = false;  ///< replay an existing WAL before serving
   /// Admission bound: submits beyond this many active (queued + running)
   /// jobs are rejected with queue_full.
@@ -129,7 +144,18 @@ class ServiceDaemon {
   const RecoveryReport& recovery() const { return recovery_; }
 
   /// One request line -> one reply line. The whole protocol lives here.
+  /// The reply is durable: an input is fsynced before the engine applies
+  /// it, and refused with no state change when that fsync fails.
   std::string handle_line(const std::string& line);
+  /// handle_line() for group commit: an input's fsync is left to the next
+  /// commit(). The caller holds the reply until commit() succeeds and
+  /// drops it otherwise.
+  std::string handle_line_deferred(const std::string& line);
+  /// Group commit: fsync once if an input was appended since the last
+  /// sync. False when that fsync failed; the WAL then refuses every later
+  /// append (wal_failure()), and the engine may hold inputs the log does
+  /// not, so the caller must stop serving.
+  bool commit(std::string* error);
   /// Reply for a reactor overflow (oversized line / pending-queue full).
   std::string overflow_reply(bool oversized_line);
 
@@ -137,9 +163,10 @@ class ServiceDaemon {
   /// plain HTTP `GET /metrics` on the same listener: a "GET " line earns
   /// a full HTTP response via Reactor::send_raw() plus close_client(),
   /// and the request's remaining header lines are swallowed instead of
-  /// being fed to the JSON parser. Requires attach_reactor(); without a
-  /// reactor it degrades to handle_line(). Returns the reply line to
-  /// queue ("" for none).
+  /// being fed to the JSON parser. Requires attach_reactor(): requests
+  /// go through handle_line_deferred() and the turn-end handler commits
+  /// them; without a reactor it degrades to handle_line(). Returns the
+  /// reply line to queue ("" for none).
   std::string handle_socket_line(Reactor::ClientId client,
                                  std::string&& line);
 
@@ -153,18 +180,25 @@ class ServiceDaemon {
   std::string http_metrics_response(const std::string& request_line);
 
   /// Reactor to stop on `shutdown` (optional; handle_line works without).
-  void attach_reactor(Reactor* reactor) { reactor_ = reactor; }
+  /// Installs commit() as the reactor's turn-end handler, a slot of its
+  /// own, so callers may still set their own line and idle handlers.
+  void attach_reactor(Reactor* reactor);
   /// Polled between drain steps so SIGTERM can abort a long drain.
   void set_interrupt_check(std::function<bool()> check) {
     interrupt_check_ = std::move(check);
   }
 
-  /// Reactor idle handler: advance the engine (wall mode), flush batched
-  /// WAL writes; returns the next poll timeout in seconds (< 0 = block).
+  /// Reactor idle handler: advance the engine (wall mode); returns the
+  /// next poll timeout in seconds (< 0 = block).
   double on_idle();
 
-  /// fsync the WAL (graceful-shutdown path; safe when no WAL).
+  /// fsync whatever the WAL holds unsynced (graceful-shutdown path; safe
+  /// when no WAL).
   void flush();
+
+  /// Why the WAL refuses further appends (a failed fsync, or a torn frame
+  /// that could not be cut off); empty while it is healthy.
+  const std::string& wal_failure() const { return wal_.failure(); }
 
   bool drained() const { return final_metrics_.has_value(); }
   const SimEngine& engine() const { return *engine_; }
@@ -237,6 +271,8 @@ class ServiceDaemon {
   void on_release(double now, JobId job, bool completed);
   bool wal_append(WalRecordType type, const std::string& payload,
                   std::string* error);
+  /// fsync the WAL, timed and counted in wal_syncs_.
+  bool sync_wal(std::string* error);
 
   double wall_elapsed() const;  ///< wall seconds since init()
   /// Wall mode: map wall time onto the event clock and advance.
@@ -259,7 +295,9 @@ class ServiceDaemon {
   std::function<bool()> interrupt_check_;
 
   WalWriter wal_;
-  bool wal_dirty_ = false;   ///< unsynced appends (batch policy)
+  bool input_unsynced_ = false;  ///< an input awaits commit()
+  bool defer_sync_ = false;      ///< inside handle_line_deferred()
+  std::uint64_t wal_syncs_ = 0;  ///< successful fsyncs, this process
   bool recovering_ = false;  ///< replay in progress: hooks stay quiet
   RecoveryReport recovery_;
 

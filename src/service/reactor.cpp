@@ -269,7 +269,17 @@ void Reactor::drop_client(ClientId id) {
   clients_.erase(it);
 }
 
-void Reactor::run() {
+bool Reactor::end_turn() {
+  if (!turn_end_handler_ || turn_end_handler_()) return true;
+  for (auto& [id, c] : clients_) {
+    (void)id;
+    if (c.fd >= 0) ::close(c.fd);
+  }
+  clients_.clear();
+  return false;
+}
+
+bool Reactor::run() {
   std::vector<pollfd> fds;
   std::vector<ClientId> fd_owner;
   while (!stop_requested_) {
@@ -327,6 +337,10 @@ void Reactor::run() {
     if (stop_requested_) break;
 
     process_pending();
+    // A handler that stopped the loop (the shutdown op) leaves the turn's
+    // end to the final flush below.
+    if (stop_requested_) break;
+    if (!end_turn()) return false;
 
     std::vector<ClientId> dead;
     for (auto& [id, c] : clients_) {
@@ -339,10 +353,12 @@ void Reactor::run() {
     for (const ClientId id : dead) drop_client(id);
   }
   // Final courtesy flush so a `shutdown` reply reaches the client.
+  if (!end_turn()) return false;
   for (auto& [id, c] : clients_) {
     (void)id;
     flush_client(c);
   }
+  return true;
 }
 
 }  // namespace jigsaw::service

@@ -20,6 +20,14 @@
 //    every processing round, so it only grows while the client itself
 //    refuses to read.
 //
+// Turns: each loop iteration is one turn — read every ready client,
+// hand the complete lines to the line handler, run the turn-end handler,
+// then write the replies. ServiceDaemon installs its group commit there:
+// one WAL fsync covers every request of the turn and lands before any of
+// their replies is written (ShardSet installs its failure check). If the
+// handler refuses, no reply of the turn may leave: run() closes every
+// client unwritten and returns false.
+//
 // Shutdown: notify_fd() exposes the write end of a self-pipe; a signal
 // handler may write one byte to it (async-signal-safe) and run() wakes,
 // invokes the stop check, and returns cleanly so the daemon can flush
@@ -53,6 +61,10 @@ class Reactor {
   /// Returns the poll timeout in seconds for the next wait: < 0 blocks
   /// indefinitely, 0 polls without sleeping.
   using IdleHandler = std::function<double()>;
+  /// Called once per turn after the turn's lines are handled and before
+  /// any reply queued in that turn is written, including the final flush
+  /// after a stop. Returning false abandons the turn (see run()).
+  using TurnEndHandler = std::function<bool()>;
 
   Reactor();
   explicit Reactor(Options options);
@@ -77,6 +89,9 @@ class Reactor {
   void set_idle_handler(IdleHandler handler) {
     idle_handler_ = std::move(handler);
   }
+  void set_turn_end_handler(TurnEndHandler handler) {
+    turn_end_handler_ = std::move(handler);
+  }
 
   /// Queue a reply line (newline appended here) to a connected client.
   void send(ClientId client, const std::string& line);
@@ -85,10 +100,12 @@ class Reactor {
   void send_raw(ClientId client, const std::string& bytes);
   void close_client(ClientId client);
 
-  /// Run until request_stop() (or a byte on notify_fd()). Dispatches
-  /// reads, the line handler, writes, then the idle handler, each
-  /// iteration.
-  void run();
+  /// Run until request_stop() (or a byte on notify_fd()). Each turn
+  /// runs the idle handler, then reads, the line handler, the turn-end
+  /// handler and the writes. Returns false when the turn-end handler
+  /// refused a turn: that turn's replies were dropped unwritten and every
+  /// client closed.
+  bool run();
 
   /// Stop from within a handler (e.g. the shutdown op): run() returns
   /// after finishing the current iteration's queued writes.
@@ -120,6 +137,8 @@ class Reactor {
   void process_pending();
   bool flush_client(Client& c);
   void drop_client(ClientId id);
+  /// Run the turn-end handler; on refusal close every client unwritten.
+  bool end_turn();
 
   Options options_;
   int listen_fd_ = -1;
@@ -135,6 +154,7 @@ class Reactor {
   LineHandler line_handler_;
   OverflowHandler overflow_handler_;
   IdleHandler idle_handler_;
+  TurnEndHandler turn_end_handler_;
 };
 
 }  // namespace jigsaw::service

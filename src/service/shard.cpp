@@ -200,12 +200,13 @@ void ShardSet::worker_main(int shard) {
                    std::make_move_iterator(w.inbox.end()));
       w.inbox.clear();
     }
-    // The whole inbox applies back-to-back (admission batching) before
-    // the owned daemons advance their clocks / flush their WALs. The
-    // replies coalesce into one outbox burst and one reactor wake —
-    // per-reply wake() calls would cost a syscall each under load.
+    // The whole inbox applies back-to-back (admission batching), one
+    // fsync per owned daemon makes it durable (group commit), and only
+    // then do the replies leave, in one outbox burst and one reactor
+    // wake — per-reply wake() calls would cost a syscall each under load.
     for (Task& t : batch) run_task(t, &replies);
     batch.clear();
+    commit_batch(shard, &replies);
     flush_replies(replies);
     for (int c = shard; c < clusters_; c += shards_) {
       daemons_[static_cast<std::size_t>(c)]->on_idle();
@@ -219,17 +220,43 @@ void ShardSet::worker_main(int shard) {
 void ShardSet::run_task(Task& t, std::vector<Reply>* sink) {
   ServiceDaemon& d = *daemons_[static_cast<std::size_t>(t.cluster)];
   std::string part =
-      t.metrics_text ? d.metrics_text() : d.handle_line(t.line);
-  if (t.done) {
-    t.done(part);
-    return;
-  }
+      t.metrics_text ? d.metrics_text() : d.handle_line_deferred(t.line);
   if (t.bcast != nullptr) {
+    // No broadcast op acks an input: drain and snapshot sync for
+    // themselves, stats and metrics only read.
     finish_part(t.bcast, t.cluster, std::move(part), sink);
     return;
   }
-  deliver(Reply{t.client, std::move(part), /*raw=*/false, /*close=*/false},
+  deliver(Reply{.client = t.client,
+                .text = std::move(part),
+                .cluster = t.cluster,
+                .done = std::move(t.done)},
           sink);
+}
+
+void ShardSet::commit_batch(int shard, std::vector<Reply>* replies) {
+  for (int c = shard; c < clusters_; c += shards_) {
+    std::string error;
+    if (daemons_[static_cast<std::size_t>(c)]->commit(&error)) continue;
+    {
+      std::lock_guard<std::mutex> lock(failure_mu_);
+      if (failure_.empty()) {
+        failure_ = "cluster " + std::to_string(c) + ": " + error;
+      }
+    }
+    std::erase_if(*replies, [c](const Reply& r) { return r.cluster == c; });
+    if (reactor_ != nullptr) reactor_->wake();
+  }
+}
+
+std::string ShardSet::failure() const {
+  std::lock_guard<std::mutex> lock(failure_mu_);
+  return failure_;
+}
+
+void ShardSet::attach_reactor(Reactor* reactor) {
+  reactor_ = reactor;
+  reactor_->set_turn_end_handler([this] { return failure().empty(); });
 }
 
 void ShardSet::enqueue(Task task) {
@@ -251,8 +278,10 @@ void ShardSet::finish_part(const std::shared_ptr<Broadcast>& b, int cluster,
   }
   if (!last) return;
   std::string reply = compose(b->op, b->seq, b->http, b->parts);
-  deliver(Reply{b->client, std::move(reply), /*raw=*/b->http,
-                /*close=*/b->http},
+  deliver(Reply{.client = b->client,
+                .text = std::move(reply),
+                .raw = b->http,
+                .close = b->http},
           sink);
 }
 
@@ -269,6 +298,10 @@ void ShardSet::deliver(Reply reply, std::vector<Reply>* sink) {
 }
 
 void ShardSet::flush_replies(std::vector<Reply>& replies) {
+  for (const Reply& r : replies) {
+    if (r.done) r.done(r.text);
+  }
+  std::erase_if(replies, [](const Reply& r) { return r.done != nullptr; });
   if (replies.empty()) return;
   {
     std::lock_guard<std::mutex> lock(outbox_mu_);
@@ -434,7 +467,7 @@ std::string ShardSet::compose_stats(
     const std::string& seq, const std::vector<std::string>& parts) const {
   std::uint64_t queue_depth = 0, running = 0, submitted = 0, completed = 0,
                 cancelled = 0, active = 0, grants = 0, releases = 0,
-                wal_bytes = 0;
+                wal_bytes = 0, wal_syncs = 0;
   std::string per_cluster = "[";
   for (std::size_t k = 0; k < parts.size(); ++k) {
     const std::string& part = parts[k];
@@ -456,6 +489,7 @@ std::string ShardSet::compose_stats(
     grants += stat_u64(*stats, "grants");
     releases += stat_u64(*stats, "releases");
     wal_bytes += stat_u64(*stats, "wal_bytes");
+    wal_syncs += stat_u64(*stats, "wal_syncs");
     if (k > 0) per_cluster += ',';
     // Raw per-cluster stats object, %.17g values untouched.
     per_cluster += part.substr(pos + 8, part.size() - (pos + 8) - 1);
@@ -472,6 +506,7 @@ std::string ShardSet::compose_stats(
   s += ",\"grants\":" + std::to_string(grants);
   s += ",\"releases\":" + std::to_string(releases);
   s += ",\"wal_bytes\":" + std::to_string(wal_bytes);
+  s += ",\"wal_syncs\":" + std::to_string(wal_syncs);
   s += ",\"per_cluster\":" + per_cluster;
   s += '}';
   return ok_reply(",\"stats\":" + s, seq);

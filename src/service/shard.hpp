@@ -22,10 +22,13 @@
 // array in cluster order; `/metrics` merges the per-cluster Prometheus
 // expositions with a `cluster="k"` label injected on every sample.
 //
-// Admission batching: a worker drains its whole inbox per wakeup, so the
-// submits routed during one reactor poll iteration apply back-to-back
-// before the worker touches on_idle() — the sharded analogue of the
-// single daemon's one-line-per-iteration cadence, amortizing wakeups.
+// Admission batching and group commit: a worker drains its whole inbox
+// per wakeup, so the submits routed during one reactor poll iteration
+// apply back-to-back (ServiceDaemon::handle_line_deferred), then each
+// owned daemon commits its WAL with one fsync before any reply of the
+// batch is published. If a daemon's fsync fails, its replies of the batch
+// are dropped and the set fails: the reactor's turn-end handler (installed
+// by attach_reactor) closes every client and Reactor::run() returns false.
 //
 // Threading rules, enforced by construction:
 //  * A daemon is touched only by its owning worker after start() (the
@@ -95,7 +98,9 @@ class ShardSet {
   /// Reactor wiring (reactor thread). handle_socket_line routes or
   /// answers immediately; replies produced by workers flow back through
   /// on_idle(), which must be installed as the reactor's idle handler.
-  void attach_reactor(Reactor* reactor) { reactor_ = reactor; }
+  /// Installs a turn-end handler that stops the reactor once failure()
+  /// is set.
+  void attach_reactor(Reactor* reactor);
   std::string handle_socket_line(Reactor::ClientId client,
                                  std::string&& line);
   double on_idle();
@@ -107,9 +112,14 @@ class ShardSet {
 
   /// Asynchronous request path for in-process drivers (the load bench):
   /// enqueue `line` to the owner of `cluster`; `done` runs on the worker
-  /// thread with the reply. Requires start().
+  /// thread with the reply once its batch is committed (never, if that
+  /// commit fails). Requires start().
   void post(int cluster, std::string line,
             std::function<void(const std::string&)> done);
+
+  /// Why the set stopped serving: the first cluster whose group commit
+  /// failed, and the WAL's reason. Empty while healthy. Any thread.
+  std::string failure() const;
 
   int clusters() const { return clusters_; }
   int shards() const { return shards_; }
@@ -143,6 +153,8 @@ class ShardSet {
     std::string text;
     bool raw = false;    ///< send_raw (HTTP) instead of a reply line
     bool close = false;  ///< close_client after queuing
+    int cluster = -1;    ///< daemon whose commit it waits on (-1: none)
+    std::function<void(const std::string&)> done{};  ///< post() path
   };
   struct Shard {
     std::thread thread;
@@ -178,7 +190,12 @@ class ShardSet {
   void finish_part(const std::shared_ptr<Broadcast>& b, int cluster,
                    std::string part, std::vector<Reply>* sink);
   void deliver(Reply reply, std::vector<Reply>* sink);
-  /// Publish a batch of replies: one outbox lock, one wake.
+  /// Group commit of one inbox batch: one fsync per owned daemon that
+  /// took an input. A daemon whose fsync fails loses its replies and
+  /// fails the set.
+  void commit_batch(int shard, std::vector<Reply>* replies);
+  /// Publish a batch of replies: post() callbacks run here, the rest go
+  /// out with one outbox lock and one wake.
   void flush_replies(std::vector<Reply>& replies);
 
   /// Fan one task per cluster (threaded) or loop inline; returns the
@@ -210,6 +227,8 @@ class ShardSet {
   Reactor* reactor_ = nullptr;
   std::mutex outbox_mu_;
   std::vector<Reply> outbox_;
+  mutable std::mutex failure_mu_;
+  std::string failure_;  ///< see failure()
 
   /// Clients mid-HTTP-request: header lines swallowed (see daemon.hpp).
   std::unordered_set<Reactor::ClientId> http_clients_;

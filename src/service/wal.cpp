@@ -164,6 +164,7 @@ void WalWriter::close() {
   }
   bytes_ = 0;
   unsynced_records_ = 0;
+  failure_.clear();
 }
 
 bool WalWriter::open(const std::string& path, std::string* error,
@@ -215,6 +216,10 @@ bool WalWriter::append(WalRecordType type, const std::string& payload,
     if (error != nullptr) *error = "WAL not open";
     return false;
   }
+  if (!failure_.empty()) {
+    if (error != nullptr) *error = failure_;
+    return false;
+  }
   std::string frame;
   frame.resize(8);
   store_le32(reinterpret_cast<unsigned char*>(frame.data()),
@@ -231,9 +236,15 @@ bool WalWriter::append(WalRecordType type, const std::string& payload,
     const ssize_t n = ::write(fd_, p, remaining);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (error != nullptr) {
-        *error = "WAL write failed: " + std::string(std::strerror(errno));
+      const std::string what =
+          "WAL write failed: " + std::string(std::strerror(errno));
+      // Cut the partial frame off: read_wal() stops at a torn frame, so
+      // every record appended after it would be lost to recovery.
+      if (::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0) {
+        failure_ = what + "; cutting the torn frame off failed: " +
+                   std::strerror(errno);
       }
+      if (error != nullptr) *error = failure_.empty() ? what : failure_;
       return false;
     }
     p += n;
@@ -246,10 +257,11 @@ bool WalWriter::append(WalRecordType type, const std::string& payload,
 
 bool WalWriter::sync(std::string* error) {
   if (fd_ < 0) return true;
-  if (::fsync(fd_) != 0) {
-    if (error != nullptr) {
-      *error = "WAL fsync failed: " + std::string(std::strerror(errno));
-    }
+  if (failure_.empty() && ::fsync(fd_) != 0) {
+    failure_ = "WAL fsync failed: " + std::string(std::strerror(errno));
+  }
+  if (!failure_.empty()) {
+    if (error != nullptr) *error = failure_;
     return false;
   }
   unsynced_records_ = 0;

@@ -98,17 +98,28 @@ class WalWriter {
   /// Current file size in bytes (header + every appended frame); tracked
   /// incrementally so the metrics scrape never stats the file.
   std::uint64_t bytes() const { return bytes_; }
-  /// Records appended since the last successful sync() — the replay-lag
-  /// tail a crash right now would lose under the batch policy.
+  /// Records appended since the last successful sync(): what an OS crash
+  /// right now could lose. For the daemon that is at most the inputs of
+  /// the group commit in progress (none acked yet) plus the grant and
+  /// release records since the last input, which recovery re-derives.
   std::uint64_t unsynced_records() const { return unsynced_records_; }
 
-  /// Append one framed record (buffered in the kernel; see sync()).
+  /// Append one framed record (buffered in the kernel; see sync()). A
+  /// write that fails part-way is cut back off the file, so a later
+  /// record never follows a torn frame.
   bool append(WalRecordType type, const std::string& payload,
               std::string* error);
 
-  /// fsync the file. The daemon's --wal-sync policy decides cadence:
-  /// "always" syncs per record, "batch" once per reactor iteration.
+  /// fsync the file. The daemon syncs after each input a direct
+  /// handle_line() call appends, and otherwise once per group commit (a
+  /// reactor turn or a shard worker batch that appended an input).
   bool sync(std::string* error);
+
+  /// Nonempty once the file can no longer be trusted to hold what was
+  /// appended: an fsync failed (the kernel may already have dropped the
+  /// unwritten pages), or a torn frame could not be cut off. Every later
+  /// append() and sync() is then refused with this reason.
+  const std::string& failure() const { return failure_; }
 
   void close();
 
@@ -117,6 +128,7 @@ class WalWriter {
   std::string path_;
   std::uint64_t bytes_ = 0;
   std::uint64_t unsynced_records_ = 0;
+  std::string failure_;
 };
 
 }  // namespace jigsaw::service

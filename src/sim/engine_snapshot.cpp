@@ -209,6 +209,28 @@ constexpr auto plan_fields = [](auto& io, auto& plan) {
   io.f64(plan.score);
 };
 
+/// Every node and wire id of `a` lies inside `topo`. A blob can pass its
+/// CRC and still name ids past the tree, and ClusterState::release()
+/// indexes with them unchecked.
+bool ids_in_range(const FatTree& topo, const Allocation& a) {
+  const auto below = [](std::int64_t id, int bound) {
+    return id >= 0 && id < bound;
+  };
+  return std::all_of(a.nodes.begin(), a.nodes.end(),
+                     [&](NodeId n) { return below(n, topo.total_nodes()); }) &&
+         std::all_of(a.leaf_wires.begin(), a.leaf_wires.end(),
+                     [&](const LeafWire& w) {
+                       return below(w.leaf, topo.total_leaves()) &&
+                              below(w.l2_index, topo.l2_per_tree());
+                     }) &&
+         std::all_of(a.l2_wires.begin(), a.l2_wires.end(),
+                     [&](const L2Wire& w) {
+                       return below(w.tree, topo.trees()) &&
+                              below(w.l2_index, topo.l2_per_tree()) &&
+                              below(w.spine_index, topo.spines_per_group());
+                     });
+}
+
 }  // namespace
 
 struct SimEngine::BlobParts {
@@ -339,6 +361,20 @@ bool SimEngine::deserialize(std::string_view blob, std::string* error) {
   for (std::size_t k = 0; k < running_.size(); ++k) {
     running_index_[running_[k].id] = k;
   }
+  bool ids_ok = true;
+  for (const RunningJob& rj : running_) {
+    ids_ok = ids_ok && ids_in_range(*topo_, rj.allocation);
+  }
+  if (sched_cache_.shadow.has_value()) {
+    ids_ok = ids_ok && ids_in_range(*topo_, *sched_cache_.shadow);
+  }
+  if (pending_plan_.has_value()) {
+    for (const auto& move : pending_plan_->moves) {
+      ids_ok = ids_ok && ids_in_range(*topo_, move.from) &&
+               ids_in_range(*topo_, move.to);
+    }
+  }
+  if (!ids_ok) return fail("engine blob allocation id outside the tree");
   for (std::size_t k = 0; k < parts.events.size(); ++k) {
     const Event& ev = parts.events[k];
     if (ev.seq >= parts.next_seq ||

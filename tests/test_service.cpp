@@ -2,9 +2,14 @@
 // equivalence of virtual-clock service runs against the batch simulator,
 // and WAL crash recovery.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -373,11 +378,6 @@ TEST_F(ServiceTest, ParseHelpers) {
   EXPECT_TRUE(parse_clock_mode("wall", &clock));
   EXPECT_EQ(clock, ClockMode::kWall);
   EXPECT_FALSE(parse_clock_mode("sundial", &clock));
-  SyncPolicy sync = SyncPolicy::kNone;
-  EXPECT_TRUE(parse_sync_policy("always", &sync));
-  EXPECT_EQ(sync, SyncPolicy::kAlways);
-  EXPECT_TRUE(parse_sync_policy("batch", &sync));
-  EXPECT_FALSE(parse_sync_policy("sometimes", &sync));
 }
 
 // ---------------------------------------------------------------------------
@@ -486,7 +486,6 @@ TEST_F(ServiceRecoveryTest, MidDrainCrashRecoversBitIdentical) {
   // the log holds submits + the drain marker + grant/release records.
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -557,7 +556,6 @@ TEST_F(ServiceRecoveryTest, RecoveryWithoutDrainRestoresAdmissionState) {
   JigsawAllocator allocator;
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -600,7 +598,6 @@ TEST_F(ServiceRecoveryTest, WallModeReplaysCancelAtItsAcceptClock) {
   options.clock = ClockMode::kWall;
   options.time_scale = 2000.0;  // 1 event-clock hour ≈ 1.8 wall seconds
   options.wal_path = wal_path_;
-  options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, options);
     std::string error;
@@ -663,7 +660,6 @@ TEST_F(ServiceRecoveryTest, TamperedGrantFailsTheAudit) {
   JigsawAllocator allocator;
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -743,6 +739,278 @@ TEST(ServiceReactor, OversizedLineGetsErrorAndConnectionSurvives) {
   ASSERT_TRUE(client.request("{\"op\":\"shutdown\"}", &reply, &error))
       << error;
   server.join();
+}
+
+// ---------------------------------------------------------------------------
+// Turn-end handler: the group commit's slot in the reactor loop.
+// ---------------------------------------------------------------------------
+
+/// A blocking loopback TCP client with a 5 s receive timeout, so a
+/// missing reply fails the test instead of hanging it.
+int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  timeval timeout{5, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Nothing to read yet: no reply byte and no EOF.
+bool nothing_to_read(int fd) {
+  char byte = 0;
+  return ::recv(fd, &byte, 1, MSG_DONTWAIT | MSG_PEEK) < 0 &&
+         (errno == EAGAIN || errno == EWOULDBLOCK);
+}
+
+/// One reply line, newline included (or what arrived before a timeout).
+std::string read_line(int fd) {
+  std::string out;
+  char byte = 0;
+  while (out.empty() || out.back() != '\n') {
+    if (::recv(fd, &byte, 1, 0) != 1) break;
+    out += byte;
+  }
+  return out;
+}
+
+/// Everything the peer sends until it closes (or the receive timeout).
+std::string read_to_eof(int fd) {
+  std::string out;
+  char buf[256];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  return n == 0 ? out : out + "<no EOF>";
+}
+
+/// A reactor with two clients that each sent one line before run():
+/// the first turn accepts both, the second reads and handles both lines.
+class TurnEndTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::string error;
+    ASSERT_TRUE(reactor_.listen_tcp(0, &error)) << error;
+    a_ = connect_loopback(reactor_.port());
+    b_ = connect_loopback(reactor_.port());
+    ASSERT_GE(a_, 0);
+    ASSERT_GE(b_, 0);
+    ASSERT_EQ(::write(a_, "one\n", 4), 4);
+    ASSERT_EQ(::write(b_, "two\n", 4), 4);
+    reactor_.set_line_handler([this](Reactor::ClientId, std::string&& line) {
+      ++handled_;
+      return "ack " + line;
+    });
+  }
+  void TearDown() override {
+    if (a_ >= 0) ::close(a_);
+    if (b_ >= 0) ::close(b_);
+  }
+
+  Reactor reactor_;
+  int a_ = -1;
+  int b_ = -1;
+  int handled_ = 0;
+};
+
+TEST_F(TurnEndTest, RunsAfterEveryLineOfTheTurnAndBeforeAnyReply) {
+  std::vector<int> handled_at_turn_end;
+  bool silent_at_commit = false;
+  reactor_.set_turn_end_handler([&] {
+    handled_at_turn_end.push_back(handled_);
+    if (handled_ == 2 && handled_at_turn_end.size() == 2) {
+      silent_at_commit = nothing_to_read(a_) && nothing_to_read(b_);
+      reactor_.request_stop();
+    }
+    return true;
+  });
+  EXPECT_TRUE(reactor_.run());
+  // Turn 1 accepted, turn 2 handled both lines, then the final flush.
+  EXPECT_EQ(handled_at_turn_end, (std::vector<int>{0, 2, 2}));
+  EXPECT_TRUE(silent_at_commit);
+  EXPECT_EQ(read_line(a_), "ack one\n");
+  EXPECT_EQ(read_line(b_), "ack two\n");
+}
+
+TEST_F(TurnEndTest, RefusedTurnSendsNoReplyAndStops) {
+  reactor_.set_turn_end_handler([this] { return handled_ == 0; });
+  EXPECT_FALSE(reactor_.run());
+  EXPECT_EQ(handled_, 2);
+  EXPECT_EQ(read_to_eof(a_), "");
+  EXPECT_EQ(read_to_eof(b_), "");
+}
+
+// ---------------------------------------------------------------------------
+// Group commit: one fsync per reactor turn that accepted an input; grants
+// and releases never force one.
+// ---------------------------------------------------------------------------
+
+std::uint64_t wal_syncs(const std::string& stats_reply) {
+  JsonValue doc;
+  std::string error;
+  if (!parse_json(stats_reply, &doc, &error)) return ~std::uint64_t{0};
+  const JsonValue* stats = doc.find("stats");
+  const JsonValue* syncs = stats != nullptr ? stats->find("wal_syncs") : nullptr;
+  return syncs != nullptr ? static_cast<std::uint64_t>(syncs->as_int())
+                          : ~std::uint64_t{0};
+}
+
+using GroupCommitTest = ServiceRecoveryTest;
+
+TEST_F(GroupCommitTest, PipelinedSubmitsShareOneFsync) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions options;
+  options.wal_path = wal_path_;
+  ServiceDaemon daemon(topo, allocator, config, options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+
+  const std::string socket = wal_path_ + ".sock";
+  Reactor reactor;
+  ASSERT_TRUE(reactor.listen_unix(socket, &error)) << error;
+  daemon.attach_reactor(&reactor);
+  reactor.set_line_handler(
+      [&daemon](Reactor::ClientId id, std::string&& line) {
+        return daemon.handle_socket_line(id, std::move(line));
+      });
+  std::thread server([&reactor]() { reactor.run(); });
+
+  ServiceClient client;
+  client.set_timeout(10.0);
+  ASSERT_TRUE(client.connect("unix:" + socket, &error)) << error;
+  std::string reply;
+  ASSERT_TRUE(client.request("{\"op\":\"stats\"}", &reply, &error)) << error;
+  const std::uint64_t before = wal_syncs(reply);
+  ASSERT_NE(before, ~std::uint64_t{0}) << reply;
+
+  // Eight submits in one write: one read, one turn, one fsync.
+  std::string burst;
+  for (int k = 0; k < 8; ++k) {
+    if (k > 0) burst += '\n';
+    burst += "{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}";
+  }
+  ASSERT_TRUE(client.send(burst, &error)) << error;
+  for (int k = 0; k < 8; ++k) {
+    ASSERT_TRUE(client.recv(&reply, &error)) << error;
+    EXPECT_TRUE(is_ok(reply)) << reply;
+  }
+  ASSERT_TRUE(client.request("{\"op\":\"stats\"}", &reply, &error)) << error;
+  EXPECT_EQ(wal_syncs(reply), before + 1) << reply;
+  ASSERT_TRUE(client.request("{\"op\":\"shutdown\"}", &reply, &error))
+      << error;
+  server.join();
+  EXPECT_EQ(read_wal(wal_path_).records.size(), 8u);
+}
+
+TEST_F(GroupCommitTest, GrantsAndReleasesForceNoFsync) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions options;
+  options.wal_path = wal_path_;
+  ServiceDaemon daemon(topo, allocator, config, options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+
+  constexpr std::uint64_t kSubmits = 20;
+  for (std::uint64_t k = 0; k < kSubmits; ++k) {
+    const std::string reply = daemon.handle_line(
+        "{\"op\":\"submit\",\"nodes\":" + std::to_string(1 + k % 4) +
+        ",\"runtime\":" + std::to_string(30 + 10 * k) + "}");
+    ASSERT_TRUE(is_ok(reply)) << reply;
+  }
+  ASSERT_TRUE(is_ok(daemon.handle_line("{\"op\":\"drain\"}")));
+  const std::string stats = daemon.handle_line("{\"op\":\"stats\"}");
+  // One fsync per acknowledged input (the submits and the drain marker).
+  EXPECT_EQ(wal_syncs(stats), kSubmits + 1) << stats;
+  // Every grant and release went to the log after the drain marker's
+  // sync, and none of them forced one.
+  const std::string unsynced =
+      "\"wal_unsynced_records\":" + std::to_string(2 * kSubmits);
+  EXPECT_NE(stats.find(unsynced), std::string::npos) << stats;
+  const WalReadResult log = read_wal(wal_path_);
+  EXPECT_EQ(log.records.size(), 3 * kSubmits + 1);
+}
+
+// A WAL on /dev/null takes every write and fails every fsync (EINVAL): a
+// real fsync failure, with no test hook in the writer.
+constexpr const char* kUnsyncableWal = "/dev/null";
+
+TEST(GroupCommitFailure, FailedFsyncRefusesTheInputBeforeTheEngineSeesIt) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions options;
+  options.wal_path = kUnsyncableWal;
+  ServiceDaemon daemon(topo, allocator, config, options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+
+  const std::string reply = daemon.handle_line(
+      "{\"op\":\"submit\",\"id\":5,\"nodes\":1,\"runtime\":60}");
+  EXPECT_TRUE(has_error(reply, "internal")) << reply;
+  EXPECT_NE(reply.find("fsync"), std::string::npos) << reply;
+  EXPECT_FALSE(daemon.wal_failure().empty());
+  // Refused before the engine applied it: job 5 does not exist.
+  EXPECT_TRUE(has_error(daemon.handle_line("{\"op\":\"status\",\"job\":5}"),
+                        "unknown_job"));
+  EXPECT_EQ(daemon.engine().submitted_count(), 0u);
+  // The writer stays refused, so a later input fails at its append.
+  EXPECT_TRUE(has_error(
+      daemon.handle_line(
+          "{\"op\":\"submit\",\"id\":6,\"nodes\":1,\"runtime\":60}"),
+      "internal"));
+  const std::string stats = daemon.handle_line("{\"op\":\"stats\"}");
+  EXPECT_NE(stats.find("\"submitted\":0"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"wal_syncs\":0"), std::string::npos) << stats;
+}
+
+TEST(GroupCommitFailure, FailedTurnFsyncDropsTheRepliesAndStopsTheReactor) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions options;
+  options.wal_path = kUnsyncableWal;
+  ServiceDaemon daemon(topo, allocator, config, options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+
+  Reactor reactor;
+  ASSERT_TRUE(reactor.listen_tcp(0, &error)) << error;
+  daemon.attach_reactor(&reactor);
+  reactor.set_line_handler(
+      [&daemon](Reactor::ClientId id, std::string&& line) {
+        return daemon.handle_socket_line(id, std::move(line));
+      });
+  bool served = true;
+  std::thread server([&] { served = reactor.run(); });
+
+  ServiceClient client;
+  client.set_timeout(10.0);
+  ASSERT_TRUE(client.connect("tcp:" + std::to_string(reactor.port()), &error))
+      << error;
+  ASSERT_TRUE(client.send("{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}\n"
+                          "{\"op\":\"submit\",\"nodes\":2,\"runtime\":60}",
+                          &error))
+      << error;
+  // Neither ack leaves: the connection closes with no byte of reply.
+  std::string reply;
+  EXPECT_FALSE(client.recv(&reply, &error)) << reply;
+  EXPECT_EQ(error, "connection closed by daemon");
+  server.join();
+  EXPECT_FALSE(served);
+  EXPECT_NE(daemon.wal_failure().find("fsync"), std::string::npos)
+      << daemon.wal_failure();
 }
 
 }  // namespace

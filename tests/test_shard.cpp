@@ -9,7 +9,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +26,7 @@
 #include "service/protocol.hpp"
 #include "service/reactor.hpp"
 #include "service/shard.hpp"
+#include "service/wal.hpp"
 #include "util/rng.hpp"
 
 namespace jigsaw::service {
@@ -335,6 +342,230 @@ TEST(ShardSet, ThreadedLoopbackServesAllClusters) {
   EXPECT_NE(reply.find("\"stopping\":true"), std::string::npos) << reply;
   server.join();
   set.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Group commit per worker batch: one fsync per owned daemon covers the
+// batch's inputs before any of their replies leaves.
+// ---------------------------------------------------------------------------
+
+/// A reactor serving `set` on loopback TCP from its own thread; run()'s
+/// result lands in `served`.
+struct ShardServer {
+  Reactor reactor;
+  bool served = true;
+  std::thread thread;
+
+  ~ShardServer() { stop(); }
+  /// Wake the reactor through its self-pipe (harmless once run() has
+  /// returned) and join it.
+  void stop() {
+    if (!thread.joinable()) return;
+    const char byte = 1;
+    [[maybe_unused]] const ssize_t n = ::write(reactor.notify_fd(), &byte, 1);
+    thread.join();
+  }
+  bool start(ShardSet& set, std::string* error) {
+    if (!reactor.listen_tcp(0, error)) return false;
+    set.attach_reactor(&reactor);
+    reactor.set_line_handler([&set](Reactor::ClientId id, std::string&& line) {
+      return set.handle_socket_line(id, std::move(line));
+    });
+    reactor.set_idle_handler([&set]() { return set.on_idle(); });
+    set.start();
+    thread = std::thread([this] { served = reactor.run(); });
+    return true;
+  }
+  std::string endpoint() const {
+    return "tcp:" + std::to_string(reactor.port());
+  }
+};
+
+std::uint64_t merged_wal_syncs(const std::string& stats_reply) {
+  const std::string key = "\"wal_syncs\":";
+  const std::size_t at = stats_reply.find(key);
+  return at == std::string::npos
+             ? ~std::uint64_t{0}
+             : std::stoull(stats_reply.substr(at + key.size()));
+}
+
+TEST(ShardSet, WorkerBatchesFsyncAtMostOncePerInput) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  std::vector<JigsawAllocator> allocator_storage(2);
+  std::vector<const Allocator*> allocators;
+  for (const JigsawAllocator& a : allocator_storage) allocators.push_back(&a);
+  const std::string wal = ::testing::TempDir() + "shard_group_commit_" +
+                          std::to_string(::getpid()) + ".wal";
+  for (int c = 0; c < 2; ++c) {
+    std::remove((wal + ".c" + std::to_string(c)).c_str());
+  }
+
+  ShardOptions options;
+  options.clusters = 2;
+  options.shards = 2;
+  options.daemon.wal_path = wal;
+  {
+    ShardSet set(topo, allocators, config, options);
+    std::string error;
+    ASSERT_TRUE(set.init(&error)) << error;
+    ShardServer server;
+    ASSERT_TRUE(server.start(set, &error)) << error;
+
+    ServiceClient client;
+    client.set_timeout(30.0);
+    ASSERT_TRUE(client.connect(server.endpoint(), &error)) << error;
+    // Eight submits per cluster in one write.
+    constexpr int kSubmits = 16;
+    std::string burst;
+    for (int k = 0; k < kSubmits; ++k) {
+      if (k > 0) burst += '\n';
+      burst += with_cluster("{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}",
+                            k % 2);
+    }
+    ASSERT_TRUE(client.send(burst, &error)) << error;
+    std::string reply;
+    for (int k = 0; k < kSubmits; ++k) {
+      ASSERT_TRUE(client.recv(&reply, &error)) << error;
+      EXPECT_TRUE(is_ok(reply)) << reply;
+    }
+    ASSERT_TRUE(client.request("{\"op\":\"stats\"}", &reply, &error))
+        << error;
+    const std::uint64_t after_submits = merged_wal_syncs(reply);
+    EXPECT_GE(after_submits, 2u) << reply;
+    EXPECT_LE(after_submits, static_cast<std::uint64_t>(kSubmits)) << reply;
+
+    // The drain marker adds one fsync per cluster; the grants and
+    // releases of the drain add none.
+    ASSERT_TRUE(client.request("{\"op\":\"drain\"}", &reply, &error)) << error;
+    ASSERT_TRUE(is_ok(reply)) << reply;
+    ASSERT_TRUE(client.request("{\"op\":\"stats\"}", &reply, &error))
+        << error;
+    EXPECT_EQ(merged_wal_syncs(reply), after_submits + 2) << reply;
+    ASSERT_TRUE(client.request("{\"op\":\"shutdown\"}", &reply, &error))
+        << error;
+    server.stop();
+    EXPECT_TRUE(server.served);
+    set.stop();
+    EXPECT_EQ(set.failure(), "");
+  }
+  for (int c = 0; c < 2; ++c) {
+    const std::string path = wal + ".c" + std::to_string(c);
+    // 8 submits, their 8 grants and 8 releases, and the drain marker.
+    EXPECT_EQ(read_wal(path).records.size(), 25u) << path;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ShardSet, OneFsyncCoversAWorkerBatch) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  const std::string wal = ::testing::TempDir() + "shard_one_fsync_" +
+                          std::to_string(::getpid()) + ".wal";
+  std::remove(wal.c_str());
+  // Declared before the set, which joins its worker on destruction.
+  std::promise<void> entered, release;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::string> replies;
+  ShardOptions options;
+  options.daemon.wal_path = wal;
+  ShardSet set(topo, {&allocator}, config, options);
+  std::string error;
+  ASSERT_TRUE(set.init(&error)) << error;
+  set.start();
+
+  // The first submit's callback holds the worker until eight more
+  // submits wait in its inbox, so they form the next batch.
+  set.post(0, "{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}",
+           [&](const std::string& reply) {
+             EXPECT_TRUE(is_ok(reply)) << reply;
+             entered.set_value();
+             release.get_future().wait();
+           });
+  entered.get_future().wait();
+  const auto collect = [&](const std::string& reply) {
+    std::lock_guard<std::mutex> lock(mu);
+    replies.push_back(reply);
+    cv.notify_one();
+  };
+  constexpr std::size_t kBatch = 8;
+  for (std::size_t k = 0; k < kBatch; ++k) {
+    set.post(0, "{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}", collect);
+  }
+  release.set_value();
+  const auto await_replies = [&](std::size_t count) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(30),
+                       [&] { return replies.size() == count; });
+  };
+  ASSERT_TRUE(await_replies(kBatch));
+  set.post(0, "{\"op\":\"stats\"}", collect);
+  ASSERT_TRUE(await_replies(kBatch + 1));
+  set.stop();
+  for (std::size_t k = 0; k < kBatch; ++k) {
+    EXPECT_TRUE(is_ok(replies[k])) << replies[k];
+  }
+  // One fsync for the first submit, one for the batch of eight.
+  EXPECT_NE(replies[kBatch].find("\"wal_syncs\":2,"), std::string::npos)
+      << replies[kBatch];
+  EXPECT_EQ(read_wal(wal).records.size(), kBatch + 1);
+  std::remove(wal.c_str());
+}
+
+TEST(ShardSet, FailedBatchFsyncDropsTheRepliesAndStopsTheReactor) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  ShardOptions options;
+  // A lone cluster keeps the base path. /dev/null takes every write and
+  // fails every fsync (EINVAL).
+  options.daemon.wal_path = "/dev/null";
+  ShardSet set(topo, {&allocator}, config, options);
+  std::string error;
+  ASSERT_TRUE(set.init(&error)) << error;
+  ShardServer server;
+  ASSERT_TRUE(server.start(set, &error)) << error;
+
+  ServiceClient client;
+  client.set_timeout(10.0);
+  ASSERT_TRUE(client.connect(server.endpoint(), &error)) << error;
+  ASSERT_TRUE(client.send("{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}",
+                          &error))
+      << error;
+  // No ack leaves: the connection closes with no byte of reply.
+  std::string reply;
+  EXPECT_FALSE(client.recv(&reply, &error)) << reply;
+  EXPECT_EQ(error, "connection closed by daemon");
+  server.stop();
+  EXPECT_FALSE(server.served);
+  set.stop();
+  EXPECT_EQ(set.failure().rfind("cluster 0: ", 0), 0u) << set.failure();
+  EXPECT_NE(set.failure().find("fsync"), std::string::npos) << set.failure();
+}
+
+TEST(ShardSet, FailedBatchFsyncNeverCallsBack) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  std::atomic<int> callbacks{0};  // declared before the set (see above)
+  ShardOptions options;
+  options.daemon.wal_path = "/dev/null";
+  ShardSet set(topo, {&allocator}, config, options);
+  std::string error;
+  ASSERT_TRUE(set.init(&error)) << error;
+  set.start();
+  set.post(0, "{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}",
+           [&callbacks](const std::string&) { ++callbacks; });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (set.failure().empty() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  set.stop();  // the worker has published (or dropped) the batch
+  EXPECT_NE(set.failure().find("fsync"), std::string::npos) << set.failure();
+  EXPECT_EQ(callbacks.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

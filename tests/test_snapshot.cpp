@@ -20,6 +20,7 @@
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
+#include "util/binio.hpp"
 #include "util/rng.hpp"
 
 namespace jigsaw::service {
@@ -292,6 +293,40 @@ TEST(SnapshotEngine, DeserializeRejectsDamagedBlob) {
   SimEngine bad_job(topo, allocator, config);
   EXPECT_FALSE(bad_job.deserialize(damaged, &error));
   EXPECT_FALSE(error.empty());
+
+  // A running job whose first node id is one past the last node: the
+  // release at its completion would index out of range.
+  SimEngine running(topo, allocator, config);
+  Job started = job;
+  started.arrival = 0.0;
+  running.submit(started);
+  running.advance_until(0.0);
+  const auto status = running.status(started.id);
+  ASSERT_TRUE(status.has_value());
+  ASSERT_EQ(status->phase, JobPhase::kRunning);
+  std::string running_blob;
+  ASSERT_TRUE(running.serialize(&running_blob, &error)) << error;
+  // The running record: id, end time, then the allocation's job id,
+  // requested nodes and node count, followed by the node ids.
+  std::string record;
+  BufWriter w(record);
+  w.i64(started.id);
+  w.f64(status->start + started.runtime);
+  w.i64(started.id);
+  w.i64(started.nodes);
+  w.u64(std::uint64_t{2});
+  const std::size_t at = running_blob.find(record);
+  ASSERT_NE(at, std::string::npos);
+  damaged = running_blob;
+  const auto past_end = static_cast<std::uint32_t>(topo.total_nodes());
+  std::memcpy(damaged.data() + at + record.size(), &past_end,
+              sizeof(past_end));
+  error.clear();
+  SimEngine bad_node(topo, allocator, config);
+  bool restored = true;
+  EXPECT_NO_THROW(restored = bad_node.deserialize(damaged, &error));
+  EXPECT_FALSE(restored);
+  EXPECT_FALSE(error.empty());
 }
 
 // Corruption property over a blob with a defrag plan in flight (its
@@ -509,7 +544,6 @@ TEST_F(SnapshotRecoveryTest, TailReplayAfterCompaction) {
 
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -571,7 +605,6 @@ TEST_F(SnapshotRecoveryTest, CorruptNewestSnapshotFallsBack) {
 
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -657,7 +690,6 @@ TEST_F(SnapshotRecoveryTest, LostOnlySnapshotReplaysFullHistory) {
 
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -697,7 +729,6 @@ TEST_F(SnapshotRecoveryTest, BothGenerationsLostIsAHardError) {
 
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);
     std::string error;
@@ -738,7 +769,6 @@ TEST_F(SnapshotRecoveryTest, SnapshotEveryCompactsAndRetires) {
 
   DaemonOptions wal_options;
   wal_options.wal_path = wal_path_;
-  wal_options.sync = SyncPolicy::kAlways;
   wal_options.snapshot_every = 8;
   {
     ServiceDaemon daemon(topo, allocator, config, wal_options);

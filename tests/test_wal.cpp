@@ -2,8 +2,10 @@
 // under random truncation and bit flips, and recovery idempotence.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -251,6 +253,70 @@ TEST_F(WalTest, WriterTruncateDropsTornTail) {
   EXPECT_TRUE(result.tail_error.empty()) << result.tail_error;
   ASSERT_EQ(result.records.size(), 10u);
   EXPECT_EQ(result.records.back().payload, "{\"job\":1}");
+}
+
+/// Caps the process's file size (RLIMIT_FSIZE) for its lifetime, with
+/// SIGXFSZ ignored so a write past the cap fails with EFBIG instead of
+/// killing the process; restores both.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(std::uint64_t bytes) {
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    have_saved_ = ::getrlimit(RLIMIT_FSIZE, &saved_) == 0;
+    rlimit capped = saved_;
+    capped.rlim_cur = static_cast<rlim_t>(bytes);
+    capped_ = have_saved_ && ::setrlimit(RLIMIT_FSIZE, &capped) == 0;
+  }
+  ~FileSizeCap() {
+    if (have_saved_) ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  bool capped() const { return capped_; }
+
+ private:
+  rlimit saved_{};
+  bool have_saved_ = false;
+  bool capped_ = false;
+  void (*previous_handler_)(int) = SIG_DFL;
+};
+
+// A write that fails part-way (EFBIG here, ENOSPC in the field) must not
+// leave a torn frame behind: read_wal() stops at the first one, so every
+// record appended after it, synced or not, would be lost to recovery.
+TEST_F(WalTest, FailedAppendLeavesNoTornFrame) {
+  WalWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.open(path_, &error)) << error;
+  ASSERT_TRUE(writer.append(WalRecordType::kSubmit, "{\"id\":0}", &error))
+      << error;
+  const std::uint64_t before = writer.bytes();
+  bool appended = true;
+  {
+    // Room for 10 bytes of the next frame: the first write lands
+    // part-way, the next one fails.
+    FileSizeCap cap(before + 10);
+    ASSERT_TRUE(cap.capped());
+    appended = writer.append(WalRecordType::kSubmit,
+                             "{\"id\":1,\"pad\":\"" + std::string(64, 'x') +
+                                 "\"}",
+                             &error);
+  }
+  EXPECT_FALSE(appended);
+  EXPECT_EQ(writer.bytes(), before);
+  EXPECT_TRUE(writer.failure().empty()) << writer.failure();
+
+  ASSERT_TRUE(writer.append(WalRecordType::kCancel, "{\"job\":0}", &error))
+      << error;
+  ASSERT_TRUE(writer.sync(&error)) << error;
+  const WalReadResult log = read_wal(path_);
+  EXPECT_TRUE(log.tail_error.empty()) << log.tail_error;
+  EXPECT_EQ(log.valid_bytes, log.file_bytes);
+  ASSERT_EQ(log.records.size(), 2u);
+  EXPECT_EQ(log.records[0].payload, "{\"id\":0}");
+  EXPECT_EQ(log.records[1].type, WalRecordType::kCancel);
+  EXPECT_EQ(log.records[1].payload, "{\"job\":0}");
 }
 
 TEST_F(WalTest, Crc32KnownVector) {
