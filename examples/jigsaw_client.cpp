@@ -90,14 +90,9 @@ int main(int argc, char** argv) {
                "dead daemon fails the command instead of hanging it "
                "(0 = wait forever)",
                "0");
-  flags.define("cluster",
-               "sharded daemon: route to this cluster id (< 0 = omit; the "
-               "daemon then uses cluster 0 / aggregates)",
-               "-1");
   try {
     if (!flags.parse(argc, argv)) return 0;
     const std::string op = flags.str("op");
-    const long cluster = flags.integer("cluster");
 
     service::ServiceClient client;
     client.set_timeout(flags.real("timeout"));
@@ -107,17 +102,9 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // Route to --cluster when given: every op accepts the field.
-    auto with_cluster = [cluster](std::string req) {
-      if (cluster >= 0) {
-        req.insert(1, "\"cluster\":" + std::to_string(cluster) + ",");
-      }
-      return req;
-    };
-
     auto roundtrip = [&](const std::string& request) -> bool {
       std::string reply;
-      if (!client.request(with_cluster(request), &reply, &error)) {
+      if (!client.request(request, &reply, &error)) {
         std::cerr << "error: " << error << "\n";
         return false;
       }
@@ -176,7 +163,7 @@ int main(int argc, char** argv) {
           flags.real("interval") * 1e6);
       while (true) {
         std::string reply;
-        if (!client.request(with_cluster(req), &reply, &error)) {
+        if (!client.request(req, &reply, &error)) {
           std::cerr << "error: " << error << "\n";
           return 1;
         }
@@ -199,8 +186,8 @@ int main(int argc, char** argv) {
       std::size_t rejected = 0;
       for (const Job& job : trace.jobs) {
         std::string reply;
-        if (!client.request(with_cluster(submit_request(job, /*with_id=*/true)),
-                            &reply, &error)) {
+        if (!client.request(submit_request(job, /*with_id=*/true), &reply,
+                            &error)) {
           std::cerr << "error: " << error << "\n";
           return 1;
         }

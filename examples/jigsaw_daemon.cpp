@@ -4,14 +4,14 @@
 // speak the newline-delimited JSON protocol (service/protocol.hpp) over a
 // Unix-domain socket or loopback TCP. The daemon write-ahead-logs every
 // accepted input and fsyncs it before the ack leaves (one fsync per
-// reactor turn, or per shard worker batch, covers every request of it),
-// so `kill -9` mid-run loses nothing that was acked, and a restart with
-// --recover replays the log, audits the re-derived grants, and — when
-// the log contains a drain marker — finishes the run with metrics
-// bit-identical to an uninterrupted one (scripts/service_smoke.sh
-// exercises exactly that). If such an fsync fails, the replies it covers
-// are dropped, the clients closed, and the daemon exits with status 1
-// for a --recover restart to take over.
+// reactor turn covers every request of it), so `kill -9` mid-run loses
+// nothing that was acked, and a restart with --recover replays the log,
+// audits the re-derived grants, and — when the log contains a drain
+// marker — finishes the run with metrics bit-identical to an
+// uninterrupted one (scripts/service_smoke.sh exercises exactly that).
+// If such an fsync fails, the replies it covers are dropped, the clients
+// closed, and the daemon exits with status 1 for a --recover restart to
+// take over.
 //
 //   $ ./jigsaw_daemon --radix 16 --listen unix:/tmp/jigsaw.sock
 //       --wal /tmp/jigsaw.wal
@@ -21,11 +21,11 @@
 // SIGINT/SIGTERM stop the reactor via the self-pipe (async-signal-safe),
 // then the WAL and the event-trace sink are flushed before exit.
 //
-// --clusters N hosts N independent clusters behind one listener, routed
-// by the request's "cluster" field and served by --shards worker threads
-// (service/shard.hpp); each cluster keeps a private WAL/snapshot chain at
-// `<wal>.c<k>`. With the default --clusters 1 --shards 1 the daemon runs
-// the original single-threaded path, byte-identical to earlier releases.
+// One daemon serves one cluster on one thread. To host several clusters,
+// run one daemon per cluster, each with its own --listen endpoint, --wal
+// and snapshot chain; a Prometheus job scrapes each daemon's
+// `--listen tcp:PORT` as its own target, and the target's instance label
+// names the cluster.
 
 #include <unistd.h>
 
@@ -43,7 +43,6 @@
 #include "obs/sink.hpp"
 #include "service/daemon.hpp"
 #include "service/reactor.hpp"
-#include "service/shard.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -61,9 +60,8 @@ void on_signal(int) {
   }
 }
 
-void print_recovery(const std::string& prefix,
-                    const jigsaw::service::RecoveryReport& r) {
-  std::cerr << prefix << "recovered WAL: " << r.records << " records, "
+void print_recovery(const jigsaw::service::RecoveryReport& r) {
+  std::cerr << "recovered WAL: " << r.records << " records, "
             << r.inputs_replayed << " inputs replayed, " << r.grants_logged
             << " grants audited against " << r.grants_derived
             << " re-derived, " << r.dropped_bytes << " torn bytes dropped";
@@ -123,15 +121,6 @@ int main(int argc, char** argv) {
                "(0 = only on the explicit `snapshot` op). Recovery then "
                "replays only the post-snapshot tail",
                "0");
-  flags.define("clusters",
-               "independent clusters hosted behind this listener; requests "
-               "route by their \"cluster\" field (1 = classic single-"
-               "cluster daemon)",
-               "1");
-  flags.define("shards",
-               "worker threads serving the clusters (owner = cluster mod "
-               "shards); clamped to --clusters",
-               "1");
   flags.define("quick-reject",
                "admission-time quick-reject screen (1 = on): skip placement "
                "searches the allocator's O(trees) capacity-index check "
@@ -151,10 +140,10 @@ int main(int argc, char** argv) {
   flags.define("max-moves", "most jobs one defrag plan may relocate", "3");
   flags.define("alloc-deadline-us",
                "anytime placement-search deadline per allocate() call, "
-               "microseconds (0 = exhaustive search, the bit-identical "
-               "default). With a deadline, candidates probe in quality-"
-               "descending order and the best feasible placement found by "
-               "expiry is committed.",
+               "microseconds (0 = no deadline, the default). Once it "
+               "expires the search stops probing candidates, and the call "
+               "places the job only if a candidate probed before then fit; "
+               "the first candidate always completes.",
                "0");
   try {
     if (!flags.parse(argc, argv)) return 0;
@@ -224,52 +213,14 @@ int main(int argc, char** argv) {
     options.snapshot_every =
         static_cast<std::uint64_t>(flags.integer("snapshot-every"));
 
-    const int clusters = static_cast<int>(flags.integer("clusters"));
-    const int shard_count = static_cast<int>(flags.integer("shards"));
-    if (clusters < 1 || shard_count < 1) {
-      std::cerr << "--clusters and --shards must be >= 1\n";
+    std::string error;
+    service::ServiceDaemon daemon(topo, *allocator, config, options);
+    daemon.set_interrupt_check([]() { return g_signal != 0; });
+    if (!daemon.init(&error)) {
+      std::cerr << "daemon init failed: " << error << "\n";
       return 1;
     }
-
-    std::string error;
-    std::unique_ptr<service::ServiceDaemon> daemon;
-    std::unique_ptr<service::ShardSet> shards;
-    std::vector<AllocatorPtr> cluster_allocators;
-    if (clusters > 1) {
-      service::ShardOptions sopt;
-      sopt.clusters = clusters;
-      sopt.shards = shard_count;
-      sopt.daemon = options;
-      // One allocator per cluster: allocators keep per-call scratch, so
-      // worker threads must not share one instance.
-      std::vector<const Allocator*> ptrs;
-      for (int c = 0; c < clusters; ++c) {
-        cluster_allocators.push_back(make_allocator(flags.str("scheduler")));
-        ptrs.push_back(cluster_allocators.back().get());
-      }
-      shards = std::make_unique<service::ShardSet>(topo, ptrs, config, sopt);
-      if (!shards->init(&error)) {
-        std::cerr << "daemon init failed: " << error << "\n";
-        return 1;
-      }
-      for (int c = 0; c < clusters; ++c) {
-        if (shards->daemon(c).recovery().performed) {
-          print_recovery("cluster " + std::to_string(c) + ": ",
-                         shards->daemon(c).recovery());
-        }
-      }
-    } else {
-      daemon = std::make_unique<service::ServiceDaemon>(topo, *allocator,
-                                                        config, options);
-      daemon->set_interrupt_check([]() { return g_signal != 0; });
-      if (!daemon->init(&error)) {
-        std::cerr << "daemon init failed: " << error << "\n";
-        return 1;
-      }
-      if (daemon->recovery().performed) {
-        print_recovery("", daemon->recovery());
-      }
-    }
+    if (daemon.recovery().performed) print_recovery(daemon.recovery());
 
     service::Reactor reactor;
     const std::string listen = flags.str("listen");
@@ -291,32 +242,16 @@ int main(int argc, char** argv) {
 
     // handle_socket_line also answers HTTP `GET /metrics` on this same
     // listener, so `curl --unix-socket` works during a live run.
-    if (shards != nullptr) {
-      shards->attach_reactor(&reactor);
-      reactor.set_line_handler(
-          [&shards](service::Reactor::ClientId id, std::string&& line) {
-            return shards->handle_socket_line(id, std::move(line));
-          });
-      reactor.set_overflow_handler(
-          [&shards](service::Reactor::ClientId, bool oversized) {
-            return shards->overflow_reply(oversized);
-          });
-      reactor.set_idle_handler([&shards]() { return shards->on_idle(); });
-      shards->start();
-      std::cerr << "serving " << shards->clusters() << " clusters on "
-                << shards->shards() << " shards\n";
-    } else {
-      daemon->attach_reactor(&reactor);
-      reactor.set_line_handler(
-          [&daemon](service::Reactor::ClientId id, std::string&& line) {
-            return daemon->handle_socket_line(id, std::move(line));
-          });
-      reactor.set_overflow_handler(
-          [&daemon](service::Reactor::ClientId, bool oversized) {
-            return daemon->overflow_reply(oversized);
-          });
-      reactor.set_idle_handler([&daemon]() { return daemon->on_idle(); });
-    }
+    daemon.attach_reactor(&reactor);
+    reactor.set_line_handler(
+        [&daemon](service::Reactor::ClientId id, std::string&& line) {
+          return daemon.handle_socket_line(id, std::move(line));
+        });
+    reactor.set_overflow_handler(
+        [&daemon](service::Reactor::ClientId, bool oversized) {
+          return daemon.overflow_reply(oversized);
+        });
+    reactor.set_idle_handler([&daemon]() { return daemon.on_idle(); });
 
     g_notify_fd = reactor.notify_fd();
     std::signal(SIGINT, on_signal);
@@ -327,21 +262,15 @@ int main(int argc, char** argv) {
       // A group commit failed: the replies it covered were dropped unsent
       // and every client closed. Exit non-zero so a restart with
       // --recover takes over.
-      const std::string why =
-          shards != nullptr ? shards->failure() : daemon->wal_failure();
-      if (shards != nullptr) shards->stop();
       if (sink != nullptr) sink->finish();
-      std::cerr << "daemon stopped: " << why << "; restart with --recover\n";
+      std::cerr << "daemon stopped: " << daemon.wal_failure()
+                << "; restart with --recover\n";
       return 1;
     }
 
     // Graceful shutdown: sync the grant/release tail and finalize the
     // event trace before exiting.
-    if (shards != nullptr) {
-      shards->stop();  // drains worker inboxes, flushes every WAL
-    } else {
-      daemon->flush();
-    }
+    daemon.flush();
     if (sink != nullptr) sink->finish();
     std::cerr << "daemon stopped"
               << (g_signal != 0 ? " (signal)" : "") << "\n";

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate the committed perf baselines (BENCH_schedtime.json,
-# BENCH_service_load.json, and BENCH_alloc_deadline.json).
+# Regenerate the committed perf baselines (BENCH_schedtime.json and
+# BENCH_alloc_deadline.json).
 #
 # Runs bench_table3_schedtime on Synth-16 and the production-radix
 # Synth-48 (27648 nodes) with --repeat 5 so the baseline carries a mean
@@ -12,12 +12,7 @@
 # scripts/check_schedtime_regression.py and fails on a >25% mean
 # regression for any scheme on any trace (missing cells are errors).
 #
-# Then runs bench_service_load in its 8-shard in-process mode and
-# rewrites BENCH_service_load.json; CI compares a fresh run with
-# scripts/check_service_load_regression.py (50% tolerance — end-to-end
-# service throughput is noisier than the allocator microbenches).
-#
-# Finally runs bench_alloc_deadline's Synth-48 deadline sweep (k=48 shape
+# Then runs bench_alloc_deadline's Synth-48 deadline sweep (k=48 shape
 # table installed) and rewrites BENCH_alloc_deadline.json; the
 # committed file must satisfy scripts/check_deadline_regression.py at
 # its strict defaults (allocate() p99 within 1.2x the 100 us deadline,
@@ -25,8 +20,8 @@
 # both the committed file and a fresh run (looser p99 factor there: the
 # shared runners' wall clocks are noisy).
 #
-# Regenerate (and commit the result) whenever the allocator hot path or
-# the service stack changes on purpose, on a quiet machine:
+# Regenerate (and commit the result) whenever the allocator hot path
+# changes on purpose, on a quiet machine:
 #
 #   cmake --preset default && cmake --build --preset default -j
 #   scripts/bench_baseline.sh
@@ -38,10 +33,9 @@ set -euo pipefail
 BUILD_DIR="${1:-build}"
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BENCH="$BUILD_DIR/bench/bench_table3_schedtime"
-LOAD_BENCH="$BUILD_DIR/bench/bench_service_load"
 DEADLINE_BENCH="$BUILD_DIR/bench/bench_alloc_deadline"
 
-for bin in "$BENCH" "$LOAD_BENCH" "$DEADLINE_BENCH"; do
+for bin in "$BENCH" "$DEADLINE_BENCH"; do
   if [ ! -x "$bin" ]; then
     echo "error: $bin not found or not executable; build first:" >&2
     echo "  cmake --preset default && cmake --build --preset default -j" >&2
@@ -60,10 +54,6 @@ JIGSAW_SHAPE_TABLE="$BUILD_DIR/shape_tables/k16.jst:$BUILD_DIR/shape_tables/k48.
   "$BENCH" --traces Synth-16,Synth-48 --repeat 5 \
   --json-out "$REPO_ROOT/BENCH_schedtime.json"
 echo "wrote $REPO_ROOT/BENCH_schedtime.json"
-
-"$LOAD_BENCH" --shards 8 --jobs 24000 --drain \
-  --json-out "$REPO_ROOT/BENCH_service_load.json"
-echo "wrote $REPO_ROOT/BENCH_service_load.json"
 
 JIGSAW_SHAPE_TABLE="$BUILD_DIR/shape_tables/k48.jst" \
   "$DEADLINE_BENCH" --traces Synth-48 --schemes jigsaw --repeat 3 \

@@ -27,17 +27,12 @@
 #      "obs_enabled":false in stats — the disabled hot loop does no
 #      observability work.
 #
-# Then the snapshot and sharding subsystems:
+# Then the snapshot subsystem:
 #
 #   5. a --snapshot-every daemon is killed -9 mid-drain after at least
 #      one WAL compaction; the restart restores the snapshot, replays
 #      only the post-snapshot tail (O(tail), asserted against the input
-#      count), and drains to metrics bit-identical to the reference, and
-#   6. a --clusters 2 --shards 2 daemon routes per-cluster submits,
-#      rejects unknown cluster ids, aggregates stats/drain across the
-#      clusters (the two drains must be bit-identical to each other:
-#      same trace, independent engines), and serves one merged /metrics
-#      exposition with a cluster label on every sample.
+#      count), and drains to metrics bit-identical to the reference.
 #
 # Usage: scripts/service_smoke.sh [BUILD_DIR]   (default: build)
 
@@ -134,7 +129,7 @@ check_fsyncs() {
 import json, sys
 stats = json.loads(open(sys.argv[1]).read().splitlines()[-1])["stats"]
 inputs = int(sys.argv[2])
-snapshots = stats.get("snapshots", 0)  # not summed by a sharded daemon
+snapshots = stats.get("snapshots", 0)
 bound = inputs + 2 * snapshots
 syncs = stats["wal_syncs"]
 assert syncs <= bound, \
@@ -391,98 +386,7 @@ print(f"snapshot-recovered metrics bit-identical to reference "
       f"({len(ref)} fields compared)")
 EOF
 
-# ---- 8. sharded daemon: 2 clusters x 2 shards -------------------------------
-echo "== sharded daemon: 2 clusters x 2 shards =="
-rm -f "$SOCK"
-# With a WAL per cluster, so each worker batch is group-committed.
-start_daemon --clusters 2 --shards 2 --metrics --wal "$WORK/shard.wal"
-"$CLIENT" --connect "unix:$SOCK" --timeout 30 --op ping \
-  > "$WORK/shard_ping.json"
-grep -q '"clusters":2' "$WORK/shard_ping.json" || {
-  echo "sharded ping does not report clusters:" >&2
-  cat "$WORK/shard_ping.json" >&2
-  exit 1
-}
-grep -q '"shards":2' "$WORK/shard_ping.json" || {
-  echo "sharded ping does not report shards:" >&2
-  cat "$WORK/shard_ping.json" >&2
-  exit 1
-}
-# The same trace into both clusters: independent engines, so the two
-# drains below must agree bit for bit. --timeout exercises the bounded
-# client path against a healthy daemon.
-SHARD_JOBS=$(( JOBS / 3 ))
-for c in 0 1; do
-  "$CLIENT" --connect "unix:$SOCK" --timeout 30 --cluster "$c" \
-    --op submit-trace --jobs "$SHARD_JOBS" > /dev/null
-done
-if "$CLIENT" --connect "unix:$SOCK" --timeout 30 --cluster 7 --op ping \
-    > "$WORK/shard_bad.json" 2>/dev/null; then
-  echo "unknown cluster id was not rejected" >&2
-  exit 1
-fi
-grep -q "unknown cluster 7" "$WORK/shard_bad.json" || {
-  echo "unknown-cluster error lacks the cluster id:" >&2
-  cat "$WORK/shard_bad.json" >&2
-  exit 1
-}
-"$CLIENT" --connect "unix:$SOCK" --timeout 30 --op stats \
-  > "$WORK/shard_stats.json"
-grep -q "\"submitted\":$(( SHARD_JOBS * 2 ))" "$WORK/shard_stats.json" || {
-  echo "aggregate stats did not sum both clusters:" >&2
-  cat "$WORK/shard_stats.json" >&2
-  exit 1
-}
-grep -q '"per_cluster":\[' "$WORK/shard_stats.json" || {
-  echo "aggregate stats lack the per_cluster array:" >&2
-  cat "$WORK/shard_stats.json" >&2
-  exit 1
-}
-check_fsyncs "$WORK/shard_stats.json" $(( SHARD_JOBS * 2 ))
-"$CLIENT" --connect "unix:$SOCK" --timeout 60 --op drain \
-  > "$WORK/shard_drain.json"
-python3 - "$WORK/shard_drain.json" <<'EOF'
-import json, sys
-
-WALL_FIELDS = {"sched_wall_seconds", "mean_sched_time_per_job"}
-doc = json.loads(open(sys.argv[1]).read().splitlines()[-1])
-assert doc.get("ok") is True, f"sharded drain not ok: {doc}"
-parts = doc["metrics"]
-assert len(parts) == 2, f"expected 2 per-cluster metrics, got {len(parts)}"
-a, b = ({k: v for k, v in p.items() if k not in WALL_FIELDS} for p in parts)
-diff = {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
-assert not diff, f"identical traces drained differently: {sorted(diff)}"
-print(f"sharded drain: both clusters bit-identical "
-      f"({len(a)} fields compared)")
-EOF
-python3 - "$SOCK" <<'EOF'
-import re, socket, sys
-s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-s.settimeout(10)
-s.connect(sys.argv[1])
-s.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
-data = b""
-while chunk := s.recv(65536):
-    data += chunk
-head, _, body = data.partition(b"\r\n\r\n")
-status = head.split(b"\r\n", 1)[0]
-assert b" 200 " in status, f"sharded scrape failed: {status!r}"
-clusters = set()
-samples = 0
-for line in body.decode().splitlines():
-    if not line or line.startswith("#"):
-        continue
-    samples += 1
-    m = re.search(r'cluster="(\d+)"', line)
-    assert m, f"sample without a cluster label: {line!r}"
-    clusters.add(m.group(1))
-assert samples > 0, "no samples in the sharded scrape"
-assert clusters == {"0", "1"}, f"expected clusters 0 and 1, got {clusters}"
-print(f"sharded /metrics: {samples} samples, every one cluster-labelled")
-EOF
-stop_daemon
-
-# ---- 9. defrag daemon: kill -9 mid-migration, recovery drains cleanly -------
+# ---- 8. defrag daemon: kill -9 mid-migration, recovery drains cleanly -------
 echo "== defrag run: migration under crash recovery =="
 # The hand-crafted stall workload from tests/test_defrag.cpp, scaled to
 # the radix-8 tree (FatTree(4,4,8), 128 nodes): two leaf-sharing 2-node

@@ -9,12 +9,11 @@
 // the same bucket).
 //
 // record() is a handful of relaxed atomic updates, so concurrent writers
-// (bench client threads, shard workers) need no lock and never
-// contend beyond the cache line. Readers see an approximate snapshot:
-// count/sum/buckets may be mutually off by in-flight updates, which is
-// the usual HDR trade — totals are exact once writers quiesce. merge()
-// folds another histogram in, enabling per-thread recording with a
-// single post-join aggregate.
+// need no lock and never contend beyond the cache line. Readers see an
+// approximate snapshot: count/sum/buckets may be mutually off by
+// in-flight updates, which is the usual HDR trade — totals are exact
+// once writers quiesce. merge() folds another histogram in, enabling
+// per-thread recording with a single post-join aggregate.
 
 #pragma once
 

@@ -11,9 +11,9 @@
 // underflow bucket, with exact count / sum / min / max alongside, so
 // means are exact and percentiles are bucket-resolution estimates.
 // Because increments are relaxed atomics, a handle can be shared across
-// threads (bench client threads, shard workers) without a lock. The
-// registry itself (find-or-create, snapshot) is not thread-safe: resolve
-// handles up front, mutate them from anywhere.
+// threads without a lock. The registry itself (find-or-create, snapshot)
+// is not thread-safe: resolve handles up front, mutate them from
+// anywhere.
 
 #pragma once
 

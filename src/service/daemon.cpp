@@ -210,7 +210,13 @@ void ServiceDaemon::on_release(double now, JobId job, bool completed) {
 
 bool ServiceDaemon::wal_append(WalRecordType type, const std::string& payload,
                                std::string* error) {
-  if (!wal_.is_open()) return true;
+  if (options_.wal_path.empty()) return true;
+  if (!wal_.is_open()) {
+    // A snapshot rotation retired the segment but could not open the next
+    // one: refuse the input rather than ack it unlogged.
+    *error = "no open WAL segment after a failed rotation";
+    return false;
+  }
   {
     obs::ScopedTimer timer(wal_append_seconds_, wal_append_seconds_ != nullptr);
     if (!wal_.append(type, payload, error)) return false;
@@ -678,8 +684,9 @@ bool ServiceDaemon::snapshot_now(std::string* error) {
   // old segment still pairs with its own snapshot chain; between rename
   // and marker the .prev segment names the epoch (recover_from_wal's
   // rotation-crash case); after the marker the rotation simply finished.
+  // The segment is renamed while still open, so a failed rename leaves it
+  // in place and logging; open() then closes the retired descriptor.
   if (!sync_wal(error)) return false;
-  wal_.close();
   const std::string prev = options_.wal_path + ".prev";
   if (::rename(options_.wal_path.c_str(), prev.c_str()) != 0) {
     *error = "cannot rotate WAL to " + prev + ": " + std::strerror(errno);

@@ -13,17 +13,18 @@
 // Durable acks: an input (submit, cancel, fault, drain) is fsynced before
 // its ack leaves. handle_line() syncs it inside the WAL append, before
 // the engine applies it, so a failed fsync refuses the request with no
-// state change. Group commit covers many requests with one fsync:
-// handle_line_deferred() leaves the sync to the caller's commit(), and
-// the caller holds the replies until it succeeds. attach_reactor()
-// installs commit() as the reactor's turn-end handler (one fsync per turn
-// that appended an input, before any reply of the turn is written), and
-// ShardSet workers commit once per inbox batch. If that fsync fails the
-// held replies are dropped and the service stops (jigsaw_daemon exits
-// non-zero for a --recover restart): the engine has applied inputs the
-// log may not hold, so it must not serve on. Grant and release records
-// are audit facts that recovery re-derives: they never force an fsync of
-// their own and ride along with the next one.
+// state change. Socket traffic is group-committed: attach_reactor()
+// installs commit() as the reactor's turn-end handler, and the turn's
+// lines leave their sync to it (one fsync per turn that appended an
+// input, before any reply of the turn is written). If that fsync fails
+// the turn's replies are dropped and the service stops (jigsaw_daemon
+// exits non-zero for a --recover restart): the engine has applied inputs
+// the log may not hold, so it must not serve on. Grant and release
+// records are audit facts that recovery re-derives: they never force an
+// fsync of their own and ride along with the next one.
+//
+// A daemon serves one cluster on one thread. Several clusters run as
+// several daemons, each with its own socket, WAL and snapshot chain.
 //
 // Clock modes:
 //  * kVirtual — the engine's event clock only advances during `drain`,
@@ -147,15 +148,6 @@ class ServiceDaemon {
   /// The reply is durable: an input is fsynced before the engine applies
   /// it, and refused with no state change when that fsync fails.
   std::string handle_line(const std::string& line);
-  /// handle_line() for group commit: an input's fsync is left to the next
-  /// commit(). The caller holds the reply until commit() succeeds and
-  /// drops it otherwise.
-  std::string handle_line_deferred(const std::string& line);
-  /// Group commit: fsync once if an input was appended since the last
-  /// sync. False when that fsync failed; the WAL then refuses every later
-  /// append (wal_failure()), and the engine may hold inputs the log does
-  /// not, so the caller must stop serving.
-  bool commit(std::string* error);
   /// Reply for a reactor overflow (oversized line / pending-queue full).
   std::string overflow_reply(bool oversized_line);
 
@@ -230,6 +222,16 @@ class ServiceDaemon {
     friend bool operator==(const GrantFact&, const GrantFact&) = default;
   };
   static GrantFact grant_fact(double now, const Allocation& alloc);
+
+  /// handle_line() for group commit: an input's fsync is left to the next
+  /// commit(). The reactor holds the reply until commit() succeeds and
+  /// drops it otherwise.
+  std::string handle_line_deferred(const std::string& line);
+  /// Group commit: fsync once if an input was appended since the last
+  /// sync. False when that fsync failed; the WAL then refuses every later
+  /// append (wal_failure()), and the engine may hold inputs the log does
+  /// not, so the reactor must stop serving.
+  bool commit(std::string* error);
 
   std::string handle_submit(const Request& req);
   std::string handle_cancel(const Request& req);

@@ -74,15 +74,6 @@ bool parse_request(const std::string& line, Request* out,
     failure->message = "missing \"op\"";
     return false;
   }
-  if (const JsonValue* v = doc.find("cluster")) {
-    if (!v->is_number() || v->as_double() < 0.0 ||
-        v->as_double() != std::floor(v->as_double()) || v->as_double() > 1e9) {
-      failure->code = ErrorCode::kBadRequest;
-      failure->message = "\"cluster\" must be a non-negative integer";
-      return false;
-    }
-    out->cluster = static_cast<int>(v->as_int());
-  }
   const std::string& op = opv->as_string();
   std::string message;
   if (op == "ping") {

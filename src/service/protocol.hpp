@@ -21,9 +21,9 @@
 //   {"op":"snapshot"}
 //   {"op":"shutdown"}
 //
-// Any request may carry `"cluster":<k>` — a routing hint the sharded
-// front-end (service/shard.hpp) uses to pick the owning daemon. A
-// single-cluster daemon accepts and ignores it.
+// Keys a request's op does not read are ignored. One daemon serves one
+// cluster; several clusters run as several daemons, each on its own
+// socket.
 //
 // This header is transport-agnostic: parse_request() turns a line into a
 // typed Request, and the reply builders produce lines. The daemon
@@ -72,9 +72,6 @@ enum class RequestOp {
 struct Request {
   RequestOp op = RequestOp::kPing;
   std::string seq;  ///< serialized client "seq" value, echoed verbatim
-  /// Routing: which cluster this request addresses in a sharded service
-  /// (absent = cluster 0 / single-cluster daemon).
-  std::optional<int> cluster;
   // submit
   std::optional<JobId> id;      ///< client-chosen id (else daemon assigns)
   int nodes = 0;

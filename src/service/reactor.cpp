@@ -39,20 +39,6 @@ Reactor::Reactor(Options options) : options_(options) {
     set_nonblocking(wake_read_fd_);
     set_nonblocking(wake_write_fd_);
   }
-  int poke_fds[2] = {-1, -1};
-  if (::pipe(poke_fds) == 0) {
-    poke_read_fd_ = poke_fds[0];
-    poke_write_fd_ = poke_fds[1];
-    set_nonblocking(poke_read_fd_);
-    set_nonblocking(poke_write_fd_);
-  }
-}
-
-void Reactor::wake() {
-  if (poke_write_fd_ >= 0) {
-    const char byte = 1;
-    [[maybe_unused]] const ssize_t n = ::write(poke_write_fd_, &byte, 1);
-  }
 }
 
 Reactor::~Reactor() {
@@ -63,8 +49,6 @@ Reactor::~Reactor() {
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
-  if (poke_read_fd_ >= 0) ::close(poke_read_fd_);
-  if (poke_write_fd_ >= 0) ::close(poke_write_fd_);
 }
 
 bool Reactor::listen_unix(const std::string& path, std::string* error) {
@@ -289,10 +273,6 @@ bool Reactor::run() {
       fds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
       fd_owner.push_back(0);
     }
-    if (poke_read_fd_ >= 0) {
-      fds.push_back(pollfd{poke_read_fd_, POLLIN, 0});
-      fd_owner.push_back(0);
-    }
     if (listen_fd_ >= 0) {
       fds.push_back(pollfd{listen_fd_, POLLIN, 0});
       fd_owner.push_back(0);
@@ -322,11 +302,6 @@ bool Reactor::run() {
         while (::read(wake_read_fd_, drain, sizeof(drain)) > 0) {
         }
         stop_requested_ = true;
-      } else if (fds[k].fd == poke_read_fd_) {
-        // wake(): fall through to the idle handler; nothing to stop.
-        char drain[64];
-        while (::read(poke_read_fd_, drain, sizeof(drain)) > 0) {
-        }
       } else if (fds[k].fd == listen_fd_) {
         accept_clients();
       } else {

@@ -24,9 +24,8 @@
 // hand the complete lines to the line handler, run the turn-end handler,
 // then write the replies. ServiceDaemon installs its group commit there:
 // one WAL fsync covers every request of the turn and lands before any of
-// their replies is written (ShardSet installs its failure check). If the
-// handler refuses, no reply of the turn may leave: run() closes every
-// client unwritten and returns false.
+// their replies is written. If the handler refuses, no reply of the turn
+// may leave: run() closes every client unwritten and returns false.
 //
 // Shutdown: notify_fd() exposes the write end of a self-pipe; a signal
 // handler may write one byte to it (async-signal-safe) and run() wakes,
@@ -115,12 +114,6 @@ class Reactor {
   /// Async-signal-safe to write to.
   int notify_fd() const { return wake_write_fd_; }
 
-  /// Wake the poll loop WITHOUT stopping it: the next iteration runs the
-  /// idle handler and flushes queued writes as usual. Thread-safe — this
-  /// is how the sharded front-end's worker threads get their finished
-  /// replies flushed while run() is blocked in poll().
-  void wake();
-
  private:
   struct Client {
     int fd = -1;
@@ -146,8 +139,6 @@ class Reactor {
   std::string unix_path_;
   int wake_read_fd_ = -1;
   int wake_write_fd_ = -1;
-  int poke_read_fd_ = -1;   ///< wake() pipe: wakes poll, does not stop
-  int poke_write_fd_ = -1;
   bool stop_requested_ = false;
   ClientId next_client_ = 1;
   std::map<ClientId, Client> clients_;

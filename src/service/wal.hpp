@@ -112,7 +112,7 @@ class WalWriter {
 
   /// fsync the file. The daemon syncs after each input a direct
   /// handle_line() call appends, and otherwise once per group commit (a
-  /// reactor turn or a shard worker batch that appended an input).
+  /// reactor turn that appended an input).
   bool sync(std::string* error);
 
   /// Nonempty once the file can no longer be trusted to hold what was

@@ -1,6 +1,6 @@
 // Online scheduler service: protocol semantics, backpressure, the golden
 // equivalence of virtual-clock service runs against the batch simulator,
-// and WAL crash recovery.
+// WAL crash recovery, group commit, and client timeouts.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -380,6 +380,21 @@ TEST_F(ServiceTest, ParseHelpers) {
   EXPECT_FALSE(parse_clock_mode("sundial", &clock));
 }
 
+// A daemon serves one cluster, so a "cluster" key routes nowhere: it is
+// skipped like any other key the protocol does not define.
+TEST_F(ServiceTest, ClusterKeyIsIgnoredLikeAnyUnknownKey) {
+  auto daemon = make_daemon();
+  for (const char* value : {"0", "3", "-1", "1.5", "\"east\"", "null"}) {
+    EXPECT_TRUE(is_ok(daemon->handle_line(
+        std::string("{\"op\":\"ping\",\"cluster\":") + value + "}")))
+        << value;
+  }
+  EXPECT_TRUE(is_ok(daemon->handle_line(
+      "{\"op\":\"submit\",\"id\":7,\"nodes\":2,\"runtime\":50,"
+      "\"cluster\":9}")));
+  EXPECT_TRUE(is_ok(daemon->handle_line("{\"op\":\"status\",\"job\":7}")));
+}
+
 // ---------------------------------------------------------------------------
 // Golden equivalence: Synth-16 replayed through the service in
 // virtual-clock mode, over a real loopback socket, produces SimMetrics
@@ -583,6 +598,78 @@ TEST_F(ServiceRecoveryTest, RecoveryWithoutDrainRestoresAdmissionState) {
   EXPECT_NE(resumed.find("\"job\":3"), std::string::npos) << resumed;
 }
 
+// Several clusters are several daemons, each with its own WAL: recovery
+// replays one daemon's log into that daemon alone.
+TEST_F(ServiceRecoveryTest, EachDaemonRecoversOnlyItsOwnWal) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocators[2];
+  DaemonOptions options[2];
+  options[0].wal_path = wal_path_;
+  options[1].wal_path = wal_path_ + ".other";
+  std::remove(options[1].wal_path.c_str());
+  const auto start = [&](bool recover) {
+    std::vector<std::unique_ptr<ServiceDaemon>> daemons;
+    for (int d = 0; d < 2; ++d) {
+      options[d].recover = recover;
+      daemons.push_back(std::make_unique<ServiceDaemon>(
+          topo, allocators[d], config, options[d]));
+      std::string error;
+      EXPECT_TRUE(daemons.back()->init(&error)) << error;
+    }
+    return daemons;
+  };
+  const auto line = [](const char* op, const char* key, int id) {
+    return std::string("{\"op\":\"") + op + "\",\"" + key +
+           "\":" + std::to_string(id) + ",\"nodes\":2,\"runtime\":60}";
+  };
+  {
+    const auto live = start(false);
+    for (const int id : {10, 11, 12}) {
+      ASSERT_TRUE(is_ok(live[0]->handle_line(line("submit", "id", id))));
+    }
+    ASSERT_TRUE(is_ok(live[1]->handle_line(line("submit", "id", 20))));
+  }  // crash
+  const auto recovered = start(true);
+  ServiceDaemon& a = *recovered[0];
+  ServiceDaemon& b = *recovered[1];
+  EXPECT_EQ(a.recovery().inputs_replayed, 3u);
+  EXPECT_EQ(b.recovery().inputs_replayed, 1u);
+  EXPECT_TRUE(is_ok(a.handle_line(line("status", "job", 11))));
+  EXPECT_TRUE(has_error(b.handle_line(line("status", "job", 11)),
+                        "unknown_job"));
+  EXPECT_TRUE(is_ok(b.handle_line(line("status", "job", 20))));
+  EXPECT_TRUE(has_error(a.handle_line(line("status", "job", 20)),
+                        "unknown_job"));
+  std::remove(options[1].wal_path.c_str());
+}
+
+// The wal_* and snapshot fields of `stats` describe the daemon's log, so
+// they appear exactly when the daemon runs with one.
+TEST_F(ServiceRecoveryTest, StatsCarryWalFieldsOnlyWithAWal) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions logged;
+  logged.wal_path = wal_path_;
+  for (const DaemonOptions& options : {DaemonOptions{}, logged}) {
+    ServiceDaemon daemon(topo, allocator, config, options);
+    std::string error;
+    ASSERT_TRUE(daemon.init(&error)) << error;
+    ASSERT_TRUE(is_ok(
+        daemon.handle_line("{\"op\":\"submit\",\"nodes\":1,\"runtime\":60}")));
+    const std::string stats = daemon.handle_line("{\"op\":\"stats\"}");
+    for (const char* field :
+         {"\"wal_bytes\":", "\"wal_unsynced_records\":", "\"wal_syncs\":1,",
+          "\"snapshot_epoch\":0,", "\"snapshots\":0,",
+          "\"inputs_since_snapshot\":1,"}) {
+      EXPECT_EQ(stats.find(field) != std::string::npos,
+                !options.wal_path.empty())
+          << field << " in " << stats;
+    }
+  }
+}
+
 // Wall-mode recovery must replay a cancel at the same point in the
 // event stream it happened live: here the cancelled job sat at the head
 // of the queue long enough for EASY to refuse a backfill on its behalf,
@@ -739,6 +826,109 @@ TEST(ServiceReactor, OversizedLineGetsErrorAndConnectionSurvives) {
   ASSERT_TRUE(client.request("{\"op\":\"shutdown\"}", &reply, &error))
       << error;
   server.join();
+}
+
+// notify_fd() is the shutdown self-pipe a signal handler writes to: one
+// byte wakes a reactor blocked in poll with no timeout and run() returns
+// cleanly.
+TEST(ServiceReactor, NotifyFdByteStopsABlockedRun) {
+  Reactor reactor;
+  std::string error;
+  ASSERT_TRUE(reactor.listen_tcp(0, &error)) << error;
+  int turns = 0;
+  reactor.set_idle_handler([&turns] {
+    ++turns;
+    return -1.0;  // block until something happens
+  });
+  bool served = false;
+  std::thread server([&] { served = reactor.run(); });
+  const char byte = 1;
+  ASSERT_EQ(::write(reactor.notify_fd(), &byte, 1), 1);
+  server.join();
+  EXPECT_TRUE(served);
+  EXPECT_GE(turns, 1);
+}
+
+/// One cluster as jigsaw_daemon serves it: a daemon with its own
+/// allocator and WAL behind a reactor on its own unix socket and thread.
+/// Destruction stops the reactor the way SIGTERM does, via notify_fd().
+struct ClusterServer {
+  ClusterServer(int radix, const std::string& path)
+      : topo(FatTree::from_radix(radix)), wal(path + ".wal"),
+        socket(path + ".sock") {
+    std::remove(wal.c_str());
+    DaemonOptions options;
+    options.wal_path = wal;
+    daemon =
+        std::make_unique<ServiceDaemon>(topo, allocator, config, options);
+    std::string error;
+    EXPECT_TRUE(daemon->init(&error)) << error;
+    EXPECT_TRUE(reactor.listen_unix(socket, &error)) << error;
+    daemon->attach_reactor(&reactor);
+    reactor.set_line_handler(
+        [this](Reactor::ClientId id, std::string&& line) {
+          return daemon->handle_socket_line(id, std::move(line));
+        });
+    thread = std::thread([this] { reactor.run(); });
+    client.set_timeout(10.0);
+    EXPECT_TRUE(client.connect("unix:" + socket, &error)) << error;
+  }
+  ~ClusterServer() {
+    client.close();
+    [[maybe_unused]] const ssize_t n = ::write(reactor.notify_fd(), "", 1);
+    thread.join();
+    std::remove(wal.c_str());
+  }
+
+  std::string ask(const std::string& line) {
+    std::string reply;
+    std::string error;
+    EXPECT_TRUE(client.request(line, &reply, &error)) << error;
+    return reply;
+  }
+  /// Submit records in the WAL; each was synced before its ack left.
+  std::size_t logged_submits() const {
+    std::size_t count = 0;
+    for (const WalRecord& record : read_wal(wal).records) {
+      if (record.type == WalRecordType::kSubmit) ++count;
+    }
+    return count;
+  }
+
+  FatTree topo;
+  std::string wal;
+  std::string socket;
+  JigsawAllocator allocator;
+  SimConfig config;
+  std::unique_ptr<ServiceDaemon> daemon;
+  Reactor reactor;
+  std::thread thread;
+  ServiceClient client;
+};
+
+// Two clusters are two daemons side by side, each on its own thread,
+// socket and WAL: they share no allocator, no id space and no log.
+TEST(ServiceReactor, TwoClustersAreTwoDaemonsThatShareNothing) {
+  const std::string base = ::testing::TempDir() + "two_clusters_" +
+                           std::to_string(::getpid());
+  ClusterServer small(4, base + "_small");  // 16 nodes
+  ClusterServer large(8, base + "_large");  // 128 nodes
+  for (int id = 0; id < 3; ++id) {
+    EXPECT_TRUE(is_ok(small.ask("{\"op\":\"submit\",\"id\":" +
+                                std::to_string(id) +
+                                ",\"nodes\":4,\"runtime\":60}")));
+  }
+  // Job id 0 again, and a size only the large cluster holds.
+  const std::string wide =
+      "{\"op\":\"submit\",\"id\":0,\"nodes\":64,\"runtime\":60}";
+  EXPECT_TRUE(is_ok(large.ask(wide)));
+  EXPECT_TRUE(has_error(small.ask(wide), "oversized_job"));
+  EXPECT_NE(small.ask("{\"op\":\"stats\"}").find("\"submitted\":3"),
+            std::string::npos);
+  EXPECT_NE(large.ask("{\"op\":\"stats\"}").find("\"submitted\":1"),
+            std::string::npos);
+  EXPECT_EQ(small.logged_submits(), 3u);
+  EXPECT_EQ(large.logged_submits(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1011,6 +1201,67 @@ TEST(GroupCommitFailure, FailedTurnFsyncDropsTheRepliesAndStopsTheReactor) {
   EXPECT_FALSE(served);
   EXPECT_NE(daemon.wal_failure().find("fsync"), std::string::npos)
       << daemon.wal_failure();
+}
+
+// ---------------------------------------------------------------------------
+// Client timeout: a peer that accepts but never replies turns into a
+// clean error instead of a hang.
+// ---------------------------------------------------------------------------
+
+TEST(ServiceClientTimeout, SilentPeerTimesOutInsteadOfHanging) {
+  // A listening socket whose backlog accepts the TCP handshake but whose
+  // owner never reads or writes: exactly what a daemon that died between
+  // accept and reply looks like to the client.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const int port = ntohs(addr.sin_port);
+
+  ServiceClient client;
+  client.set_timeout(0.2);
+  EXPECT_EQ(client.timeout(), 0.2);
+  std::string error;
+  ASSERT_TRUE(client.connect("tcp:" + std::to_string(port), &error)) << error;
+  std::string reply;
+  EXPECT_FALSE(client.request("{\"op\":\"ping\"}", &reply, &error));
+  EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+
+  // Turning the bound off again restores blocking semantics cheaply; just
+  // assert the setter round-trips rather than hanging a test on it.
+  client.set_timeout(0.0);
+  EXPECT_EQ(client.timeout(), 0.0);
+  ::close(listener);
+}
+
+TEST(ServiceClientTimeout, MissingDaemonFailsToConnectWithTheReason) {
+  const std::string path = ::testing::TempDir() + "no_daemon_" +
+                           std::to_string(::getpid()) + ".sock";
+  std::remove(path.c_str());
+  // Bounded or not, a socket nobody listens on fails at once.
+  for (const double timeout : {0.0, 0.5}) {
+    ServiceClient client;
+    client.set_timeout(timeout);
+    std::string error;
+    EXPECT_FALSE(client.connect("unix:" + path, &error));
+    EXPECT_NE(error.find("connect " + path), std::string::npos) << error;
+    std::string reply;
+    EXPECT_FALSE(client.request("{\"op\":\"ping\"}", &reply, &error));
+    EXPECT_EQ(error, "not connected");
+  }
+  ServiceClient client;
+  std::string error;
+  EXPECT_FALSE(client.connect("cluster-7", &error));
+  EXPECT_NE(error.find("unix:/path or tcp:PORT"), std::string::npos) << error;
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // generations lost -> hard error; uncompacted history -> full replay).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -488,7 +489,7 @@ class SnapshotRecoveryTest : public ::testing::Test {
 
   void cleanup() {
     std::remove(wal_path_.c_str());
-    std::remove((wal_path_ + ".prev").c_str());
+    free_prev();  // the segment or the squatting directory
     for (std::uint64_t e = 1; e <= 4; ++e) {
       std::remove(snapshot_path(wal_path_, e).c_str());
       std::remove((snapshot_path(wal_path_, e) + ".tmp").c_str());
@@ -516,8 +517,27 @@ class SnapshotRecoveryTest : public ::testing::Test {
         metrics_text(daemon.handle_line("{\"op\":\"drain\"}")));
   }
 
+  /// Make <wal>.prev a non-empty directory, which no rotation can
+  /// rename the segment onto; free_prev() clears it again.
+  void squat_prev() {
+    ASSERT_EQ(::mkdir((wal_path_ + ".prev").c_str(), 0755), 0);
+    write_file(wal_path_ + ".prev/keep", "x");
+  }
+  bool free_prev() {
+    std::remove((wal_path_ + ".prev/keep").c_str());
+    return std::remove((wal_path_ + ".prev").c_str()) == 0;
+  }
+
   std::string wal_path_;
 };
+
+std::size_t logged_submits(const std::string& wal_path) {
+  std::size_t count = 0;
+  for (const WalRecord& record : read_wal(wal_path).records) {
+    if (record.type == WalRecordType::kSubmit) ++count;
+  }
+  return count;
+}
 
 TEST_F(SnapshotRecoveryTest, SnapshotOpWithoutWalIsBadState) {
   const FatTree topo = FatTree::from_radix(4);
@@ -795,6 +815,114 @@ TEST_F(SnapshotRecoveryTest, SnapshotEveryCompactsAndRetires) {
   ASSERT_TRUE(daemon.init(&error)) << error;
   EXPECT_TRUE(daemon.recovery().used_snapshot);
   EXPECT_EQ(daemon.recovery().snapshot_epoch, 3u);
+  EXPECT_EQ(scrub_wall_fields(
+                metrics_text(daemon.handle_line("{\"op\":\"drain\"}"))),
+            reference);
+}
+
+// A rotation that cannot move the segment to <wal>.prev (here a non-empty
+// directory squats on the name) must leave the daemon logging: every
+// acked input has its WAL record, and recovery replays all of them.
+TEST_F(SnapshotRecoveryTest, FailedRotationKeepsTheWalLogging) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  squat_prev();
+
+  DaemonOptions wal_options;
+  wal_options.wal_path = wal_path_;
+  wal_options.snapshot_every = 1;
+  const std::vector<std::string> lines = workload(3);
+  {
+    ServiceDaemon daemon(topo, allocator, config, wal_options);
+    std::string error;
+    ASSERT_TRUE(daemon.init(&error)) << error;
+    for (const std::string& line : lines) {
+      ASSERT_TRUE(is_ok(daemon.handle_line(line)));
+    }
+    EXPECT_EQ(daemon.snapshots_taken(), 0u);
+    const std::string stats = daemon.handle_line("{\"op\":\"stats\"}");
+    EXPECT_NE(stats.find("\"wal_syncs\":"), std::string::npos) << stats;
+  }
+  EXPECT_EQ(logged_submits(wal_path_), lines.size());
+
+  ASSERT_TRUE(free_prev());
+  DaemonOptions recover_options = wal_options;
+  recover_options.recover = true;
+  ServiceDaemon daemon(topo, allocator, config, recover_options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  EXPECT_EQ(daemon.recovery().inputs_replayed, lines.size());
+}
+
+// The snapshot op reports the failed rotation; the daemon goes on acking
+// and logging inputs on the segment it could not retire, and once the
+// name is free the next snapshot rotates as usual and recovery replays
+// only the tail behind its marker.
+TEST_F(SnapshotRecoveryTest, SnapshotOpReportsAFailedRotation) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  const std::vector<std::string> lines = workload(4);
+  squat_prev();
+  DaemonOptions wal_options;
+  wal_options.wal_path = wal_path_;
+  ServiceDaemon daemon(topo, allocator, config, wal_options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  for (const std::string& line : lines) {
+    const std::string snap = daemon.handle_line("{\"op\":\"snapshot\"}");
+    EXPECT_TRUE(has_error(snap, "internal")) << snap;
+    EXPECT_NE(snap.find("cannot rotate WAL"), std::string::npos) << snap;
+    ASSERT_TRUE(is_ok(daemon.handle_line(line)));
+  }
+  EXPECT_EQ(daemon.snapshot_epoch(), 0u);
+  const std::string stats = daemon.handle_line("{\"op\":\"stats\"}");
+  EXPECT_NE(stats.find("\"inputs_since_snapshot\":4"), std::string::npos)
+      << stats;
+  const WalReadResult log = read_wal(wal_path_);
+  EXPECT_EQ(log.records.size(), lines.size());
+  EXPECT_EQ(logged_submits(wal_path_), lines.size());
+}
+
+// Once the name is free again the next snapshot rotates as usual, and
+// recovery replays only the tail behind its marker.
+TEST_F(SnapshotRecoveryTest, RotationSucceedsOnceThePathIsFree) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  const std::vector<std::string> lines = workload(12);
+  const std::string reference =
+      reference_metrics(topo, allocator, config, lines, {});
+  squat_prev();
+  DaemonOptions wal_options;
+  wal_options.wal_path = wal_path_;
+  {
+    ServiceDaemon daemon(topo, allocator, config, wal_options);
+    std::string error;
+    ASSERT_TRUE(daemon.init(&error)) << error;
+    for (std::size_t k = 0; k < lines.size(); ++k) {
+      if (k == 6) {
+        EXPECT_TRUE(has_error(daemon.handle_line("{\"op\":\"snapshot\"}"),
+                              "internal"));
+        ASSERT_TRUE(free_prev());
+        const std::string snap =
+            daemon.handle_line("{\"op\":\"snapshot\"}");
+        EXPECT_NE(snap.find("\"epoch\":1"), std::string::npos) << snap;
+      }
+      ASSERT_TRUE(is_ok(daemon.handle_line(lines[k])));
+    }
+  }  // crash
+  EXPECT_EQ(logged_submits(wal_path_ + ".prev"), 6u);
+
+  DaemonOptions recover_options = wal_options;
+  recover_options.recover = true;
+  ServiceDaemon daemon(topo, allocator, config, recover_options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  EXPECT_TRUE(daemon.recovery().audit_ok);
+  EXPECT_EQ(daemon.recovery().snapshot_epoch, 1u);
+  EXPECT_EQ(daemon.recovery().inputs_replayed, lines.size() - 6);
   EXPECT_EQ(scrub_wall_fields(
                 metrics_text(daemon.handle_line("{\"op\":\"drain\"}"))),
             reference);

@@ -109,6 +109,57 @@ TEST_F(WalTest, ReopenAppends) {
   EXPECT_EQ(result.records.back().type, WalRecordType::kDrain);
 }
 
+// A writer holds its segment, not its name: renamed while open (as a
+// snapshot rotation does) it keeps appending to the renamed file, and
+// reopening under the old name retires that file and starts a fresh
+// segment there.
+TEST_F(WalTest, RenamedSegmentKeepsAppendingAndReopenStartsFresh) {
+  const std::string prev = path_ + ".prev";
+  std::remove(prev.c_str());
+  WalWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.open(path_, &error)) << error;
+  ASSERT_TRUE(writer.append(WalRecordType::kSubmit, "{\"k\":0}", &error))
+      << error;
+  ASSERT_EQ(std::rename(path_.c_str(), prev.c_str()), 0);
+  ASSERT_TRUE(writer.append(WalRecordType::kSubmit, "{\"k\":1}", &error))
+      << error;
+  ASSERT_TRUE(writer.sync(&error)) << error;
+
+  ASSERT_TRUE(writer.open(path_, &error)) << error;
+  EXPECT_TRUE(writer.is_open());
+  EXPECT_EQ(writer.bytes(), 8u);  // header only
+  ASSERT_TRUE(writer.append(WalRecordType::kDrain, "{}", &error)) << error;
+  writer.close();
+
+  const WalReadResult retired = read_wal(prev);
+  ASSERT_EQ(retired.records.size(), 2u);
+  EXPECT_EQ(retired.records[1].payload, "{\"k\":1}");
+  const WalReadResult fresh = read_wal(path_);
+  EXPECT_TRUE(fresh.header_ok);
+  ASSERT_EQ(fresh.records.size(), 1u);
+  EXPECT_EQ(fresh.records[0].type, WalRecordType::kDrain);
+  std::remove(prev.c_str());
+}
+
+// A writer that is not open refuses appends instead of dropping records
+// silently; its sync has nothing to flush and succeeds.
+TEST_F(WalTest, ClosedWriterRefusesAppends) {
+  WalWriter writer;
+  std::string error;
+  EXPECT_FALSE(writer.is_open());
+  EXPECT_FALSE(writer.append(WalRecordType::kSubmit, "{}", &error));
+  EXPECT_EQ(error, "WAL not open");
+  ASSERT_TRUE(writer.open(path_, &error)) << error;
+  writer.close();
+  EXPECT_FALSE(writer.is_open());
+  error.clear();
+  EXPECT_FALSE(writer.append(WalRecordType::kSubmit, "{}", &error));
+  EXPECT_EQ(error, "WAL not open");
+  EXPECT_TRUE(writer.sync(&error));
+  EXPECT_TRUE(read_wal(path_).records.empty());
+}
+
 TEST_F(WalTest, BadMagicRejected) {
   write_file("NOTAWAL!somebytes");
   const WalReadResult result = read_wal(path_);
