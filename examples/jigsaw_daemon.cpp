@@ -121,12 +121,6 @@ int main(int argc, char** argv) {
                "(0 = only on the explicit `snapshot` op). Recovery then "
                "replays only the post-snapshot tail",
                "0");
-  flags.define("quick-reject",
-               "admission-time quick-reject screen (1 = on): skip placement "
-               "searches the allocator's O(trees) capacity-index check "
-               "proves futile. Sound, so decisions are unchanged; only "
-               "scheduling time and the sched.quick_reject counter move.",
-               "1");
   flags.define_bool("defrag",
                     "live defragmentation: when the head job stalls on a "
                     "condition-class failure (leaf_spread / "
@@ -185,7 +179,9 @@ int main(int argc, char** argv) {
       metrics = std::make_unique<obs::MetricsRegistry>();
       config.obs.metrics = metrics.get();
     }
-    config.admission_quick_reject = flags.integer("quick-reject") != 0;
+    // The screen is sound, so it changes no decision; it only skips
+    // searches the allocator's capacity indices prove futile.
+    config.admission_quick_reject = true;
     config.alloc_deadline_us = flags.integer("alloc-deadline-us");
     if (config.alloc_deadline_us < 0) {
       std::cerr << "--alloc-deadline-us must be >= 0\n";

@@ -245,32 +245,4 @@ bool ServiceClient::request(const std::string& line, std::string* reply,
   return send(line, error) && recv(reply, error);
 }
 
-std::optional<JsonValue> ServiceClient::request_json(const std::string& line,
-                                                     std::string* error) {
-  std::string reply;
-  if (!request(line, &reply, error)) return std::nullopt;
-  JsonValue doc;
-  std::string parse_error;
-  if (!parse_json(reply, &doc, &parse_error)) {
-    if (error != nullptr) *error = "bad reply from daemon: " + parse_error;
-    return std::nullopt;
-  }
-  const JsonValue* ok = doc.find("ok");
-  if (ok == nullptr || !ok->is_bool()) {
-    if (error != nullptr) *error = "reply missing \"ok\": " + reply;
-    return std::nullopt;
-  }
-  if (!ok->as_bool()) {
-    if (error != nullptr) {
-      const JsonValue* code = doc.find("error");
-      const JsonValue* message = doc.find("message");
-      *error = "daemon error";
-      if (code != nullptr) *error += " [" + code->as_string() + "]";
-      if (message != nullptr) *error += ": " + message->as_string();
-    }
-    return std::nullopt;
-  }
-  return doc;
-}
-
 }  // namespace jigsaw::service

@@ -2,9 +2,9 @@
 //
 // Connects over a Unix-domain socket or loopback TCP, sends one JSON
 // request per line, reads one JSON reply per line. Used by the
-// jigsaw_client CLI, the bench_service_load driver's worker threads
-// (one client per thread; the class itself is not thread-safe), the
-// cluster_shell `connect` mode, and the loopback golden tests.
+// jigsaw_client CLI, the cluster_shell `connect` mode, and the loopback
+// tests, which run one client per thread (the class itself is not
+// thread-safe).
 //
 // Endpoints: "unix:/path/to.sock" or "tcp:PORT" (loopback); a bare
 // string containing '/' is treated as a unix path.
@@ -17,10 +17,8 @@
 
 #pragma once
 
-#include <optional>
+#include <cstddef>
 #include <string>
-
-#include "service/json.hpp"
 
 struct sockaddr;  // <sys/socket.h>, kept out of this header
 
@@ -52,10 +50,6 @@ class ServiceClient {
   /// send() + recv(): the simple request/reply cadence.
   bool request(const std::string& line, std::string* reply,
                std::string* error);
-  /// request() + parse; returns nullopt (with *error set, including the
-  /// daemon's error code/message for ok:false replies) on any failure.
-  std::optional<JsonValue> request_json(const std::string& line,
-                                        std::string* error);
 
  private:
   /// Push timeout_s_ onto the live socket (no-op when disconnected).

@@ -704,6 +704,7 @@ bool ServiceDaemon::snapshot_now(std::string* error) {
   }
   snapshot_epoch_ = data.epoch;
   inputs_since_snapshot_ = 0;
+  failed_snapshot_at_ = 0;
   ++snapshots_taken_;
   refresh_gauges();  // wal.bytes & friends now describe the fresh segment
   emit("service.snapshot");
@@ -712,11 +713,15 @@ bool ServiceDaemon::snapshot_now(std::string* error) {
 
 void ServiceDaemon::maybe_snapshot() {
   if (options_.snapshot_every == 0 || !wal_.is_open() || drained()) return;
-  if (inputs_since_snapshot_ < options_.snapshot_every) return;
+  if (inputs_since_snapshot_ < failed_snapshot_at_ + options_.snapshot_every) {
+    return;
+  }
   std::string error;
   if (!snapshot_now(&error)) {
     // The triggering request already committed to the WAL; a failed
-    // compaction costs recovery time, not correctness.
+    // compaction costs recovery time, not correctness. Retry after
+    // another snapshot_every inputs, not on every one.
+    failed_snapshot_at_ = inputs_since_snapshot_;
     emit("service.snapshot_failed");
   }
 }
@@ -865,6 +870,14 @@ std::string ServiceDaemon::handle_submit(const Request& req) {
   // able), and the failed-append path must leave no state behind.
   if (engine_->phase(job.id) != JobPhase::kUnknown) {
     return error_reply(ErrorCode::kBadRequest, "duplicate job id submitted",
+                       req.seq);
+  }
+  if (job.id > kMaxJobId) {
+    // The parser bounds a client's id, so this is an assigned one, the id
+    // after a client took kMaxJobId: replay would read it back wrong.
+    return error_reply(ErrorCode::kBadRequest,
+                       "job id " + std::to_string(job.id) +
+                           " is past 2^53, the largest id the WAL replays",
                        req.seq);
   }
   if (job.arrival < engine_->now()) {

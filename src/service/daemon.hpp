@@ -107,8 +107,9 @@ struct DaemonOptions {
   /// kill -9 recovery smoke test; 0 in normal operation).
   std::uint64_t step_delay_us = 0;
   /// Snapshot + compact the WAL after this many accepted inputs (submit/
-  /// cancel/fault records since the last snapshot); 0 disables automatic
-  /// snapshots (the `snapshot` protocol op still works).
+  /// cancel/fault records since the last snapshot), and retry a failed
+  /// one after as many more; 0 disables automatic snapshots (the
+  /// `snapshot` protocol op still works).
   std::uint64_t snapshot_every = 0;
 };
 
@@ -207,7 +208,7 @@ class ServiceDaemon {
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
 
   /// Wall-clock submit->grant latencies observed so far (seconds), in
-  /// grant order. The bench reads these through `stats`.
+  /// grant order; `stats` reports their percentiles.
   const std::vector<double>& grant_latencies() const {
     return grant_latencies_;
   }
@@ -263,9 +264,9 @@ class ServiceDaemon {
   /// Recovery-only: discard the (possibly half-restored) engine and every
   /// counter a snapshot restore touches, back to the scratch-replay state.
   void reset_recovery_state();
-  /// Count an accepted input toward --snapshot-every and compact when the
-  /// threshold is reached (failure is logged, never surfaced to the
-  /// triggering request — the WAL still holds every record).
+  /// Compact once --snapshot-every inputs have been accepted since the
+  /// last snapshot or failed attempt (failure is logged, never surfaced
+  /// to the triggering request — the WAL still holds every record).
   void maybe_snapshot();
   bool run_drain(std::string* error);  ///< run + finish, step-delay aware
   void install_live_hooks();
@@ -305,6 +306,9 @@ class ServiceDaemon {
 
   std::uint64_t snapshot_epoch_ = 0;  ///< newest epoch written/restored
   std::uint64_t inputs_since_snapshot_ = 0;
+  /// inputs_since_snapshot_ at the last failed automatic snapshot (0
+  /// after a success): maybe_snapshot() backs off from there.
+  std::uint64_t failed_snapshot_at_ = 0;
   std::uint64_t snapshots_taken_ = 0;  ///< this process only (not restored)
 
   JobId next_job_id_ = 0;

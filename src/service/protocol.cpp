@@ -21,12 +21,13 @@ bool require_number(const JsonValue& obj, const char* key, double* out,
 }
 
 /// Job ids travel as JSON numbers. Only a non-negative integer a double
-/// holds exactly (at most 2^53) converts to JobId exactly and with
+/// holds exactly (at most kMaxJobId) converts to JobId exactly and with
 /// defined behaviour; anything else is refused.
 bool job_id_field(const JsonValue& v, JobId* out) {
   if (!v.is_number()) return false;
   const double d = v.as_double();
-  if (!(d >= 0.0) || d > 9007199254740992.0 || d != std::floor(d)) {
+  if (!(d >= 0.0) || d > static_cast<double>(kMaxJobId) ||
+      d != std::floor(d)) {
     return false;
   }
   *out = static_cast<JobId>(d);

@@ -55,6 +55,11 @@ enum class ErrorCode {
 
 const char* error_code_name(ErrorCode code);
 
+/// The largest job id the protocol and the WAL carry. Both read ids back
+/// as JSON numbers, that is as doubles, which hold every integer up to
+/// 2^53 exactly; a larger id would replay as a different job.
+inline constexpr JobId kMaxJobId = JobId{1} << 53;
+
 enum class RequestOp {
   kPing,
   kSubmit,

@@ -598,6 +598,44 @@ TEST_F(ServiceRecoveryTest, RecoveryWithoutDrainRestoresAdmissionState) {
   EXPECT_NE(resumed.find("\"job\":3"), std::string::npos) << resumed;
 }
 
+// The WAL logs a job id as a JSON number and replay reads it back as a
+// double, exact up to 2^53. A client may take id 2^53 itself, but the id
+// the daemon would assign next is past the bound: that submit is refused,
+// and the log still recovers.
+TEST_F(ServiceRecoveryTest, AssignedIdPastTheReplayBoundIsRefused) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions wal_options;
+  wal_options.wal_path = wal_path_;
+  const std::string top = "9007199254740992";  // 2^53
+  const std::string unnamed = "{\"op\":\"submit\",\"nodes\":1,\"runtime\":10}";
+  {
+    ServiceDaemon daemon(topo, allocator, config, wal_options);
+    std::string error;
+    ASSERT_TRUE(daemon.init(&error)) << error;
+    ASSERT_TRUE(is_ok(daemon.handle_line(
+        "{\"op\":\"submit\",\"id\":" + top + ",\"nodes\":1,\"runtime\":10}")));
+    for (int k = 0; k < 2; ++k) {
+      const std::string refused = daemon.handle_line(unnamed);
+      EXPECT_TRUE(has_error(refused, "bad_request")) << refused;
+    }
+    // Ids a client names below the bound are still taken.
+    EXPECT_TRUE(is_ok(daemon.handle_line(
+        "{\"op\":\"submit\",\"id\":7,\"nodes\":1,\"runtime\":10}")));
+    EXPECT_EQ(daemon.engine().submitted_count(), 2u);
+  }
+  DaemonOptions recover_options = wal_options;
+  recover_options.recover = true;
+  ServiceDaemon daemon(topo, allocator, config, recover_options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  EXPECT_EQ(daemon.recovery().inputs_replayed, 2u);
+  EXPECT_TRUE(
+      is_ok(daemon.handle_line("{\"op\":\"status\",\"job\":" + top + "}")));
+  EXPECT_TRUE(has_error(daemon.handle_line(unnamed), "bad_request"));
+}
+
 // Several clusters are several daemons, each with its own WAL: recovery
 // replays one daemon's log into that daemon alone.
 TEST_F(ServiceRecoveryTest, EachDaemonRecoversOnlyItsOwnWal) {
@@ -929,6 +967,52 @@ TEST(ServiceReactor, TwoClustersAreTwoDaemonsThatShareNothing) {
             std::string::npos);
   EXPECT_EQ(small.logged_submits(), 3u);
   EXPECT_EQ(large.logged_submits(), 1u);
+}
+
+// Eight clients on their own threads share one daemon, each submitting
+// its slice of a Synth-16 trace: every submit is acked, logged and
+// counted.
+TEST(ServiceReactor, EightConcurrentClientsGetEverySubmitAcked) {
+  const Trace trace = synth16(2000);
+  ClusterServer server(16, ::testing::TempDir() + "eight_clients_" +
+                               std::to_string(::getpid()));
+  constexpr std::size_t kClients = 8;
+  std::vector<std::size_t> acked(kClients, 0);
+  std::vector<std::string> failure(kClients);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ServiceClient client;
+      client.set_timeout(30.0);
+      std::string reply;
+      if (!client.connect("unix:" + server.socket, &failure[c])) return;
+      for (std::size_t k = c; k < trace.jobs.size(); k += kClients) {
+        if (!client.request(submit_line(trace.jobs[k]), &reply,
+                            &failure[c])) {
+          return;
+        }
+        if (!is_ok(reply)) {
+          failure[c] = reply;
+          return;
+        }
+        ++acked[c];
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_EQ(failure[c], "") << "client " << c;
+    total += acked[c];
+  }
+  EXPECT_EQ(total, trace.jobs.size());
+  EXPECT_EQ(server.logged_submits(), trace.jobs.size());
+  const std::string stats = server.ask("{\"op\":\"stats\"}");
+  EXPECT_NE(stats.find("\"submitted\":" + std::to_string(trace.jobs.size()) +
+                       ","),
+            std::string::npos)
+      << stats;
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/jigsaw_allocator.hpp"
+#include "obs/sink.hpp"
 #include "service/daemon.hpp"
 #include "service/protocol.hpp"
 #include "service/snapshot.hpp"
@@ -883,6 +884,54 @@ TEST_F(SnapshotRecoveryTest, SnapshotOpReportsAFailedRotation) {
   const WalReadResult log = read_wal(wal_path_);
   EXPECT_EQ(log.records.size(), lines.size());
   EXPECT_EQ(logged_submits(wal_path_), lines.size());
+}
+
+/// Counts the trace events that carry one name.
+struct EventCounter : obs::TraceSink {
+  explicit EventCounter(std::string counted) : name(std::move(counted)) {}
+  void emit(const obs::TraceEvent& event) override {
+    count += event.name == name ? 1 : 0;
+  }
+  std::string name;
+  int count = 0;
+};
+
+// After a failed automatic snapshot the daemon retries once another
+// snapshot_every inputs have arrived, not on every input: 60 submits at a
+// cadence of 5 make 12 attempts, each one WAL fsync on top of the
+// submits' 60. inputs_since_snapshot still counts from the last success,
+// and once the name is free the next due attempt rotates.
+TEST_F(SnapshotRecoveryTest, FailedAutomaticSnapshotBacksOff) {
+  const FatTree topo = FatTree::from_radix(4);
+  EventCounter failures("service.snapshot_failed");
+  SimConfig config;
+  config.obs.sink = &failures;
+  JigsawAllocator allocator;
+  const std::vector<std::string> lines = workload(65);
+  squat_prev();
+  DaemonOptions wal_options;
+  wal_options.wal_path = wal_path_;
+  wal_options.snapshot_every = 5;
+  ServiceDaemon daemon(topo, allocator, config, wal_options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  for (std::size_t k = 0; k < 60; ++k) {
+    ASSERT_TRUE(is_ok(daemon.handle_line(lines[k])));
+  }
+  EXPECT_EQ(failures.count, 12);
+  const std::string stats = daemon.handle_line("{\"op\":\"stats\"}");
+  EXPECT_NE(stats.find("\"wal_syncs\":72,"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"inputs_since_snapshot\":60,"), std::string::npos)
+      << stats;
+
+  ASSERT_TRUE(free_prev());
+  for (std::size_t k = 60; k < 64; ++k) {
+    ASSERT_TRUE(is_ok(daemon.handle_line(lines[k])));
+  }
+  EXPECT_EQ(daemon.snapshots_taken(), 0u);
+  ASSERT_TRUE(is_ok(daemon.handle_line(lines[64])));
+  EXPECT_EQ(daemon.snapshots_taken(), 1u);
+  EXPECT_EQ(failures.count, 12);
 }
 
 // Once the name is free again the next snapshot rotates as usual, and
