@@ -28,18 +28,21 @@ struct AllocBudget {
   std::int64_t deadline_ns = 0;  ///< 0 = no deadline
 };
 
-/// One allocate() call's view of its AllocBudget: the start timestamp is
-/// read once at construction and shared by every pass, so a deadline
-/// bounds the whole call, not each pass. Cheap to copy-construct; all
-/// queries are const.
+/// One allocate() call's view of its AllocBudget: with a deadline, the
+/// start timestamp is read once at construction and shared by every
+/// pass, so the deadline bounds the whole call, not each pass. Without
+/// one the clock is never read. Cheap to copy-construct; all queries are
+/// const.
 class AnytimeClock {
  public:
   explicit AnytimeClock(const AllocBudget& budget)
       : deadline_ns_(budget.deadline_ns),
-        start_(std::chrono::steady_clock::now()) {}
+        start_(deadline_ns_ > 0 ? std::chrono::steady_clock::now()
+                                : std::chrono::steady_clock::time_point{}) {}
 
   bool active() const { return deadline_ns_ > 0; }
 
+  /// Time since construction; meaningful only when active().
   std::int64_t elapsed_ns() const {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now() - start_)

@@ -125,7 +125,9 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
   const auto shapes3 =
       three_level_shape_seq(request.nodes, topo, /*restrict_full_leaves=*/true);
   {
-    ThreeLevelPick pick;
+    // Kept per thread so that its vectors' capacity carries over and a
+    // warm call allocates only the returned Allocation.
+    thread_local ThreeLevelPick pick;
     const CandidateScan r = scan_three_level_full_leaves(
         state, view, shapes3.span(), budget, &clock, &pick);
     fold(r);

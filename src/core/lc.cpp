@@ -307,9 +307,7 @@ Allocation materialize_general(const ClusterState& state,
   a.bandwidth = demand;
 
   auto take_leaf = [&](LeafId l, int count, Mask wires) {
-    for (const NodeId n : pick_free_nodes(state, l, count)) {
-      a.nodes.push_back(n);
-    }
+    append_free_nodes(state, l, count, &a.nodes);
     for_each_bit(wires, [&](int i) { a.leaf_wires.push_back(LeafWire{l, i}); });
   };
 

@@ -6,6 +6,13 @@
 // (exclusive wires vs. residual bandwidth). LinkView abstracts the latter,
 // and the find_* helpers implement the recursive-backtracking searches of
 // Algorithm 1 over it.
+//
+// The scans and searches allocate nothing once warm: rows of per-L2
+// masks (at most 64 words, since FatTree caps m1 and m2 at 64) live on
+// the stack, and the lists that grow with the tree count live in
+// per-thread scratch that keeps its capacity across calls. Each thread
+// therefore searches independently, and one search must not start
+// another on the same thread.
 
 #pragma once
 
@@ -102,23 +109,56 @@ struct LinkView {
   }
 };
 
+/// Leaves of one subtree as a Mask of leaf indices (m2 <= 64), so a
+/// pick holds no heap memory and a membership test is one bit test.
+/// Iterates its LeafIds in ascending order.
+struct LeafSet {
+  LeafId first = 0;  ///< LeafId of the subtree's leaf index 0
+  Mask bits = 0;     ///< leaf indices in the set
+
+  class const_iterator {
+   public:
+    const_iterator(LeafId first, Mask rest) : first_(first), rest_(rest) {}
+    LeafId operator*() const { return first_ + lowest_bit(rest_); }
+    const_iterator& operator++() {
+      rest_ &= rest_ - 1;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return rest_ == o.rest_; }
+
+   private:
+    LeafId first_;
+    Mask rest_;
+  };
+  const_iterator begin() const { return {first, bits}; }
+  const_iterator end() const { return {first, 0}; }
+  std::size_t size() const { return static_cast<std::size_t>(popcount(bits)); }
+  /// Equal as sets of leaves (two empty sets are equal in any subtree).
+  bool operator==(const LeafSet& o) const {
+    return bits == o.bits && (bits == 0 || first == o.first);
+  }
+};
+
 /// Outcome of a single-subtree (two-level) search.
 struct TwoLevelPick {
   TreeId tree = -1;
-  std::vector<LeafId> full_leaves;  ///< LT leaves carrying nL nodes each
-  LeafId remainder_leaf = -1;       ///< -1 when the shape has no remainder
-  Mask s_set = 0;                   ///< L2 indices S (0 for single-leaf)
-  Mask sr_set = 0;                  ///< Sr subset of S for the remainder leaf
+  LeafSet full_leaves;         ///< LT leaves carrying nL nodes each
+  LeafId remainder_leaf = -1;  ///< -1 when the shape has no remainder
+  Mask s_set = 0;              ///< L2 indices S (0 for single-leaf)
+  Mask sr_set = 0;             ///< Sr subset of S for the remainder leaf
 };
 
 /// Outcome of a cross-subtree (three-level) search with whole leaves
-/// (nodes_per_leaf == m1), i.e. Jigsaw's restricted shape family.
+/// (nodes_per_leaf == m1), i.e. Jigsaw's restricted shape family. Filled
+/// only when a placement is found. A caller that keeps one pick across
+/// calls reuses its vectors' capacity, so a repeated search allocates
+/// nothing.
 struct ThreeLevelPick {
   std::vector<TreeId> full_trees;
   /// Leaves used in each full tree, parallel to full_trees.
-  std::vector<std::vector<LeafId>> full_tree_leaves;
+  std::vector<LeafSet> full_tree_leaves;
   TreeId remainder_tree = -1;
-  std::vector<LeafId> rem_full_leaves;
+  LeafSet rem_full_leaves;
   LeafId remainder_leaf = -1;
   Mask sr_set = 0;               ///< L2 indices used by the remainder leaf
   std::vector<Mask> s_star;      ///< S*_i per L2 index (|.| == LT)
@@ -143,6 +183,8 @@ bool find_two_level(const ClusterState& state, const LinkView& view,
 /// Trees best fit first: fewest free nodes, ties by ascending index.
 /// Packing small jobs into already-busy subtrees keeps other subtrees
 /// whole for the three-level placements that large jobs require.
+/// scan_two_level() builds the same order in reused per-thread scratch;
+/// this allocating form serves TA's deadline order and the tests.
 std::vector<TreeId> trees_best_fit(const ClusterState& state);
 
 /// The order in which a two-level scan visits trees within a shape.
@@ -159,7 +201,11 @@ enum class TreeOrder {
 /// before they become probes; find_two_level() would reject them without
 /// a step, so the winner, the pick and the step charge are those of the
 /// unscreened scan, while `probes` counts only screened candidates. The
-/// tree order is built only once some shape passes the screen. On a win
+/// tree order is built only once some shape passes the screen, by
+/// sorting packed (free nodes, index) keys in place of trees_best_fit()'s
+/// stable sort; it is rebuilt on every call and never cached on
+/// ClusterState::revision(), which a rolled-back Txn restores, so two
+/// states inside one scheduling pass can share a revision. On a win
 /// `pick` holds the placement and the result's `winner` is the winning
 /// shape's index in `shapes`.
 CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
@@ -189,14 +235,20 @@ CandidateScan scan_three_level_full_leaves(
     std::span<const ThreeLevelShape> shapes, std::uint64_t& budget,
     const AnytimeClock* clock, ThreeLevelPick* pick);
 
-/// Expand a pick into the concrete resource set. `demand` is copied into
-/// Allocation::bandwidth.
+/// Expand a pick into the concrete resource set, reserving each vector's
+/// exact size up front. The state must be the one the pick was searched
+/// on. `demand` is copied into Allocation::bandwidth.
 Allocation materialize(const ClusterState& state, const TwoLevelShape& shape,
                        const TwoLevelPick& pick, JobId job, int requested,
                        double demand);
 Allocation materialize(const ClusterState& state, const ThreeLevelShape& shape,
                        const ThreeLevelPick& pick, JobId job, int requested,
                        double demand);
+
+/// Append the lowest `count` free-node ids on a leaf to `out`; throws
+/// std::logic_error when the leaf holds fewer.
+void append_free_nodes(const ClusterState& state, LeafId leaf, int count,
+                       std::vector<NodeId>* out);
 
 /// Lowest `count` free-node ids on a leaf.
 std::vector<NodeId> pick_free_nodes(const ClusterState& state, LeafId leaf,

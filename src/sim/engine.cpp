@@ -313,6 +313,32 @@ void SimEngine::handle_completion(double now, const Event& e, const Job& job) {
   }
 }
 
+void SimEngine::drop_started_from_queue() {
+  if (started_positions_.empty()) return;
+  // Every started job sits in the head run or the backfill window, so
+  // only the prefix up to the last started position changes: walk it
+  // backwards, shifting the jobs that stay toward the back, then pop the
+  // vacated front. O(window) per pass, however deep the queue.
+  std::sort(started_positions_.begin(), started_positions_.end());
+  auto started = started_positions_.rbegin();
+  std::size_t write = started_positions_.back() + 1;
+  for (std::size_t k = write; k-- > 0;) {
+    if (started != started_positions_.rend() && *started == k) {
+      ++started;
+      continue;
+    }
+    --write;
+    if (write != k) {
+      queue_[write] = std::move(queue_[k]);
+      queue_job_index_[write] = queue_job_index_[k];
+    }
+  }
+  for (; write > 0; --write) {
+    queue_.pop_front();
+    queue_job_index_.pop_front();
+  }
+}
+
 void SimEngine::scheduling_pass(double now) {
   // Scheduling pass. The timer is always on (SimMetrics needs the wall
   // time regardless); the histogram pointer is null when metering is off.
@@ -347,7 +373,7 @@ void SimEngine::scheduling_pass(double now) {
   head_blocked_job_ = pass.head_blocked_job;
 
   if (!decisions.empty()) {
-    std::vector<char> started(queue_.size(), 0);
+    started_positions_.clear();
     for (auto& d : decisions) {
       const Job& job = jobs_[queue_job_index_[d.pending_index]];
       if (!state_.can_apply(d.allocation)) {
@@ -405,17 +431,9 @@ void SimEngine::scheduling_pass(double now) {
       running_index_[job.id] = running_.size();
       running_.push_back(
           RunningJob{job.id, now + runtime, std::move(d.allocation)});
-      started[d.pending_index] = 1;
+      started_positions_.push_back(d.pending_index);
     }
-    std::deque<PendingJob> next_queue;
-    std::deque<std::size_t> next_index;
-    for (std::size_t k = 0; k < queue_.size(); ++k) {
-      if (started[k]) continue;
-      next_queue.push_back(std::move(queue_[k]));
-      next_index.push_back(queue_job_index_[k]);
-    }
-    queue_ = std::move(next_queue);
-    queue_job_index_ = std::move(next_index);
+    drop_started_from_queue();
   }
 
   if (so_.queue_depth != nullptr) {

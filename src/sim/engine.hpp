@@ -212,6 +212,9 @@ class SimEngine {
   void handle_completion(double now, const Event& e, const Job& job);
   void release_running(double now, std::size_t ri, const Job& job);
   void scheduling_pass(double now);
+  /// Remove the queue positions in started_positions_ from queue_ and
+  /// queue_job_index_, keeping every other job in order.
+  void drop_started_from_queue();
   /// End-of-pass stall detector: when the head is blocked on a condition
   /// class a migration could fix, search for a plan and schedule a
   /// kMigrationStart event (defrag enabled only; no-op otherwise).
@@ -249,6 +252,9 @@ class SimEngine {
 
   std::deque<PendingJob> queue_;
   std::deque<std::size_t> queue_job_index_;  ///< parallel to queue_
+  /// Queue positions the current pass started; scratch that keeps its
+  /// capacity across passes, not part of the engine's state.
+  std::vector<std::size_t> started_positions_;
   std::vector<RunningJob> running_;
   std::unordered_map<JobId, std::size_t> running_index_;
 

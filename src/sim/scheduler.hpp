@@ -122,9 +122,9 @@ class EasyScheduler {
     /// §3.2 condition-class attribution for the blocked head, when the
     /// pass left one (kNone otherwise). Only computed when the pass runs
     /// with an enabled ObsContext — attribution calls the allocator's
-    /// read-only diagnose() probe, which a disabled-obs pass must skip to
-    /// stay allocation-free. Cache-hit passes replay the reason memoized
-    /// by the pass that computed it.
+    /// read-only diagnose() probe, a second search per blocked pass that
+    /// a disabled-obs pass skips. Cache-hit passes replay the reason
+    /// memoized by the pass that computed it.
     BlockedReason head_blocked_reason = BlockedReason::kNone;
     JobId head_blocked_job = kNoJob;
   };
@@ -163,8 +163,11 @@ class EasyScheduler {
   /// per-allocate-call `alloc.attempt` events and timing histograms,
   /// `sched.head_blocked` with the shadow reservation, and one
   /// `sched.backfill` event per candidate with the accept/reject reason.
-  /// A null `obs` keeps the pass allocation- and clock-free beyond the
-  /// pre-existing behavior.
+  /// A null `obs` emits and times nothing; only an allocation deadline
+  /// reads the clock. The pass allocates its decisions and its per-pass
+  /// lists (completion order, release ladder, backfill window, failure
+  /// memo). A warm Jigsaw allocate() call allocates only the Allocation
+  /// it returns, and so does a LaaS call that places within one subtree.
   std::vector<Decision> schedule(double now, ClusterState& state,
                                  const std::deque<PendingJob>& pending,
                                  const std::vector<RunningJob>& running,

@@ -287,5 +287,51 @@ TEST(ShapeTable, GoldenSimMetricsInvariantAcrossTables) {
   std::remove(path.c_str());
 }
 
+/// Resident kilobytes of this process's mapping of the file `path`
+/// names, from the mapping's `Rss:` line in /proc/self/smaps (which
+/// shows the path normalized, so only the file name is matched); -1 when
+/// no mapping names it.
+long mapped_rss_kb(const std::string& path) {
+  const std::string name = path.substr(path.rfind('/'));
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool in_mapping = false;
+  while (std::getline(smaps, line)) {
+    if (line.size() > name.size() &&
+        line.compare(line.size() - name.size(), name.size(), name) == 0) {
+      in_mapping = true;
+    } else if (in_mapping && line.rfind("Rss:", 0) == 0) {
+      return std::stol(line.substr(4));
+    }
+  }
+  return -1;
+}
+
+// The load checks the CRC of every page, then lets the pages go: the
+// file stays in the page cache, and only what lookups read faults back
+// in. A k=48 table is 7.3 MB, and a checked load used to keep all of it
+// resident. What stays is the index the load validates after the CRC
+// (442 KB), which a kernel that maps a large page-cache folio whole on
+// one fault rounds up to the folio (2 MB).
+TEST(ShapeTable, LoadLeavesLittleOfTheFileResident) {
+  const FatTree topo = FatTree::from_radix(48);
+  const std::string path = temp_path("resident");
+  const std::string bytes = ShapeTable::serialize(topo);
+  write_file(path, bytes);
+  ASSERT_GT(bytes.size(), 7000000u);
+
+  std::string error;
+  const auto table = ShapeTable::load(path, &error);
+  ASSERT_NE(table, nullptr) << error;
+  const long rss_kb = mapped_rss_kb(path);
+  ASSERT_GE(rss_kb, 0) << "no mapping of " << path << " in /proc/self/smaps";
+  EXPECT_LT(static_cast<std::size_t>(rss_kb) * 1024, bytes.size() / 2);
+  // What a lookup reads is still there.
+  EXPECT_EQ(table->two_level(600).size(), two_level_shapes(600, topo).size());
+  EXPECT_EQ(table->three_level_restricted(5000).size(),
+            three_level_shapes(5000, topo, true).size());
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace jigsaw
