@@ -149,25 +149,6 @@ inline void apply_defrag_flags(const CliFlags& flags, SimConfig& config) {
   config.defrag.max_moves = static_cast<int>(flags.integer("max-moves"));
 }
 
-// ---- anytime deadline plumbing (shared --alloc-deadline-us flag) -------
-
-/// Anytime placement-search deadline flag shared by the bench binaries.
-inline void define_deadline_flag(CliFlags& flags) {
-  flags.define("alloc-deadline-us",
-               "anytime placement-search deadline per allocate() call, "
-               "microseconds (0 = exhaustive, the bit-identical default). "
-               "With a deadline, candidates probe best fit first and "
-               "the best feasible placement found by expiry commits.",
-               "0");
-}
-
-/// Apply --alloc-deadline-us to a bench cell's SimConfig.
-inline void apply_deadline_flag(const CliFlags& flags, SimConfig& config) {
-  const auto us = flags.integer("alloc-deadline-us");
-  if (us < 0) throw std::invalid_argument("--alloc-deadline-us must be >= 0");
-  config.alloc_deadline_us = us;
-}
-
 // ---- repeated-run statistics (shared --repeat plumbing) ----------------
 
 inline void define_repeat_flag(CliFlags& flags) {

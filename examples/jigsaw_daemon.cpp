@@ -132,13 +132,6 @@ int main(int argc, char** argv) {
                "restore + warm-up), charged as extended occupancy",
                "60");
   flags.define("max-moves", "most jobs one defrag plan may relocate", "3");
-  flags.define("alloc-deadline-us",
-               "anytime placement-search deadline per allocate() call, "
-               "microseconds (0 = no deadline, the default). Once it "
-               "expires the search stops probing candidates, and the call "
-               "places the job only if a candidate probed before then fit; "
-               "the first candidate always completes.",
-               "0");
   try {
     if (!flags.parse(argc, argv)) return 0;
 
@@ -182,11 +175,6 @@ int main(int argc, char** argv) {
     // The screen is sound, so it changes no decision; it only skips
     // searches the allocator's capacity indices prove futile.
     config.admission_quick_reject = true;
-    config.alloc_deadline_us = flags.integer("alloc-deadline-us");
-    if (config.alloc_deadline_us < 0) {
-      std::cerr << "--alloc-deadline-us must be >= 0\n";
-      return 1;
-    }
     config.defrag.enabled = flags.boolean("defrag");
     config.defrag.migration_cost = flags.real("migration-cost");
     config.defrag.max_moves = static_cast<int>(flags.integer("max-moves"));

@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 
-#include "core/candidate_scan.hpp"
 #include "topology/cluster_state.hpp"
 
 namespace jigsaw {
@@ -30,12 +29,12 @@ struct SearchStats {
   std::uint64_t steps = 0;       ///< backtracking steps taken
   bool budget_exhausted = false; ///< search gave up at its step budget
   std::uint64_t probes = 0;      ///< candidate probes across all passes
-  bool anytime = false;          ///< an active AllocBudget bounded the call
-  bool deadline_expired = false; ///< the deadline cut the scan short
-  /// Remaining deadline headroom when the call returned (negative once
-  /// blown); only meaningful when anytime with a real deadline.
-  std::int64_t slack_ns = 0;
+  /// Inert: benchmark/timed_allocator.hpp reads it; ROADMAP item 1 deletes it.
+  bool deadline_expired = false;
 };
+
+/// Inert: benchmark/timed_allocator.hpp passes it; ROADMAP item 1 deletes it.
+struct AllocBudget {};
 
 /// Why a placement attempt failed, by §3.2 condition class. The
 /// attribution is observational (diagnose() below) and never feeds back
@@ -70,23 +69,20 @@ class Allocator {
   virtual bool isolating() const = 0;
 
   /// Find a placement for the request. Does not modify `state`; returns
-  /// std::nullopt when the policy admits no placement right now. An
-  /// inactive `budget` (the default) runs the exact exhaustive scan;
-  /// with deadline_ns > 0 the scan turns anytime — best-fit-first
-  /// candidate order, best feasible placement committed at expiry (see
-  /// core/candidate_scan.hpp). Either way the returned Allocation, if
-  /// any, satisfies the scheme's full isolation conditions: a deadline
-  /// can only trade placement *quality* and hit rate, never soundness.
+  /// std::nullopt when the policy admits no placement right now. The
+  /// search is exhaustive within the scheme's step budget, so the answer
+  /// depends only on `state` and `request`. A returned Allocation
+  /// satisfies the scheme's full isolation conditions.
   virtual std::optional<Allocation> allocate(const ClusterState& state,
                                              const JobRequest& request,
                                              const AllocBudget& budget,
                                              SearchStats* stats) const = 0;
 
-  /// Convenience overload: no latency budget, exhaustive scan.
+  /// Convenience overload: the same search.
   std::optional<Allocation> allocate(const ClusterState& state,
                                      const JobRequest& request,
                                      SearchStats* stats = nullptr) const {
-    return allocate(state, request, AllocBudget{}, stats);
+    return allocate(state, request, {}, stats);
   }
 
   /// Sound O(trees) screen over the incremental capacity indices: true

@@ -17,8 +17,7 @@ class BaselineAllocator final : public Allocator {
   bool isolating() const override { return false; }
 
   using Allocator::allocate;
-  /// O(nodes) first-fit: no candidate scan to bound, so the latency
-  /// budget is accepted and ignored.
+  /// O(nodes) first-fit.
   std::optional<Allocation> allocate(const ClusterState& state,
                                      const JobRequest& request,
                                      const AllocBudget& budget,

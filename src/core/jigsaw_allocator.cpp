@@ -7,7 +7,7 @@ namespace jigsaw {
 
 std::optional<Allocation> JigsawAllocator::allocate(
     const ClusterState& state, const JobRequest& request,
-    const AllocBudget& budget, SearchStats* stats) const {
+    const AllocBudget& /*budget*/, SearchStats* stats) const {
   const FatTree& topo = state.topo();
   if (request.nodes < 1 || request.nodes > topo.total_nodes()) {
     return std::nullopt;
@@ -15,7 +15,7 @@ std::optional<Allocation> JigsawAllocator::allocate(
   if (request.nodes > state.total_free_nodes()) return std::nullopt;
 
   const LinkView view{&state, 0.0};
-  return search(state, view, request, budget, stats);
+  return search(state, view, request, stats);
 }
 
 BlockedReason JigsawAllocator::diagnose(const ClusterState& state,
@@ -31,7 +31,7 @@ BlockedReason JigsawAllocator::diagnose(const ClusterState& state,
   // not by allocate() was rejected by the link conditions.
   const LinkView view = LinkView::links_unconstrained(&state);
   SearchStats stats;
-  if (search(state, view, request, AllocBudget{}, &stats).has_value()) {
+  if (search(state, view, request, &stats).has_value()) {
     return BlockedReason::kUplinkIsolation;
   }
   if (stats.budget_exhausted) return BlockedReason::kBudgetExhausted;
@@ -73,37 +73,28 @@ bool JigsawAllocator::size_unplaceable(const FatTree& topo, int nodes) const {
 std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
                                                  const LinkView& view,
                                                  const JobRequest& request,
-                                                 const AllocBudget& latency,
                                                  SearchStats* stats) const {
   const FatTree& topo = state.topo();
   std::uint64_t budget = step_budget_;
-  // One clock for the whole call: the deadline bounds both passes
-  // together, not each pass separately.
-  const AnytimeClock clock(latency);
   auto record = [&](bool exhausted) {
     if (stats != nullptr) {
       stats->steps += step_budget_ - budget;
       stats->budget_exhausted = stats->budget_exhausted || exhausted;
-      stats->anytime = stats->anytime || clock.active();
-      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
   };
   auto fold = [&](const CandidateScan& r) {
-    if (stats != nullptr) {
-      stats->probes += r.probes;
-      stats->deadline_expired = stats->deadline_expired || r.expired;
-    }
+    if (stats != nullptr) stats->probes += r.probes;
   };
 
   // Pass 1: single-subtree (two-level) allocations, densest shape first,
-  // fullest subtree first. Both orders are best fit first, so under a
-  // deadline the first feasible pair is the best-fitting one reached.
+  // fullest subtree first. Both orders are best fit first, so the first
+  // feasible pair is the best-fitting one.
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
   {
     TwoLevelPick pick;
     const CandidateScan r =
         scan_two_level(state, view, shapes2.span(), TreeOrder::kBestFit,
-                       budget, &clock, &pick);
+                       budget, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
@@ -114,10 +105,6 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
       record(true);
       return std::nullopt;
     }
-    // On expiry with no two-level winner, still give pass 2 its shot:
-    // its scan always probes its first candidate, so a head job that
-    // *needs* a cross-subtree placement cannot starve under a tiny
-    // deadline — the overrun is bounded at one extra probe.
   }
 
   // Pass 2: cross-subtree allocations with the whole-leaf restriction,
@@ -129,7 +116,7 @@ std::optional<Allocation> JigsawAllocator::search(const ClusterState& state,
     // warm call allocates only the returned Allocation.
     thread_local ThreeLevelPick pick;
     const CandidateScan r = scan_three_level_full_leaves(
-        state, view, shapes3.span(), budget, &clock, &pick);
+        state, view, shapes3.span(), budget, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);

@@ -67,7 +67,6 @@ struct LaasCtx {
   std::vector<TreeId> chosen;
   std::uint64_t* budget;
   Allocation* out;
-  const AnytimeClock* clock = nullptr;
 };
 
 bool laas_complete(LaasCtx& ctx, Mask inter) {
@@ -87,7 +86,6 @@ bool laas_complete(LaasCtx& ctx, Mask inter) {
     for (TreeId tr = 0; tr < topo.trees(); ++tr) {
       if (*ctx.budget == 0) return false;
       --*ctx.budget;
-      if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
       if (std::find(ctx.chosen.begin(), ctx.chosen.end(), tr) !=
           ctx.chosen.end()) {
         continue;
@@ -115,7 +113,6 @@ bool laas_complete(LaasCtx& ctx, Mask inter) {
 bool laas_recurse(LaasCtx& ctx, std::size_t start, Mask inter) {
   if (*ctx.budget == 0) return false;
   --*ctx.budget;
-  if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
   if (static_cast<int>(ctx.chosen.size()) == ctx.full) {
     return laas_complete(ctx, inter);
   }
@@ -136,14 +133,14 @@ bool laas_recurse(LaasCtx& ctx, std::size_t start, Mask inter) {
 
 std::optional<Allocation> LaasAllocator::allocate(const ClusterState& state,
                                                   const JobRequest& request,
-                                                  const AllocBudget& budget,
+                                                  const AllocBudget& /*budget*/,
                                                   SearchStats* stats) const {
   const FatTree& topo = state.topo();
   if (request.nodes < 1 || request.nodes > topo.total_nodes()) {
     return std::nullopt;
   }
   const LinkView view{&state, 0.0};
-  return search(state, view, request, budget, stats);
+  return search(state, view, request, stats);
 }
 
 BlockedReason LaasAllocator::diagnose(const ClusterState& state,
@@ -161,7 +158,7 @@ BlockedReason LaasAllocator::diagnose(const ClusterState& state,
   // identically under both views.
   const LinkView view = LinkView::links_unconstrained(&state);
   SearchStats stats;
-  if (search(state, view, request, AllocBudget{}, &stats).has_value()) {
+  if (search(state, view, request, &stats).has_value()) {
     return BlockedReason::kUplinkIsolation;
   }
   if (stats.budget_exhausted) return BlockedReason::kBudgetExhausted;
@@ -190,7 +187,6 @@ bool LaasAllocator::quick_reject(const ClusterState& state,
 std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
                                                const LinkView& view,
                                                const JobRequest& request,
-                                               const AllocBudget& latency,
                                                SearchStats* stats) const {
   const FatTree& topo = state.topo();
   const int m1 = topo.nodes_per_leaf();
@@ -199,20 +195,14 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
   const int leaves_needed = (request.nodes + m1 - 1) / m1;  // R
 
   std::uint64_t budget = step_budget_;
-  const AnytimeClock clock(latency);
   auto record = [&](bool exhausted) {
     if (stats != nullptr) {
       stats->steps += step_budget_ - budget;
       stats->budget_exhausted = stats->budget_exhausted || exhausted;
-      stats->anytime = stats->anytime || clock.active();
-      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
   };
   auto fold = [&](const CandidateScan& r) {
-    if (stats != nullptr) {
-      stats->probes += r.probes;
-      stats->deadline_expired = stats->deadline_expired || r.expired;
-    }
+    if (stats != nullptr) stats->probes += r.probes;
   };
 
   // Single-subtree allocations first: LaaS's native two-level conditions
@@ -223,7 +213,7 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
     TwoLevelPick pick;
     const CandidateScan r =
         scan_two_level(state, view, shapes2.span(), TreeOrder::kBestFit,
-                       budget, &clock, &pick);
+                       budget, &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
@@ -245,16 +235,15 @@ std::optional<Allocation> LaasAllocator::search(const ClusterState& state,
     const int cmax = std::min(leaves_needed, m2);
     Allocation a;
     const CandidateScan r = scan_first_feasible(
-        cmax > 0 ? static_cast<std::size_t>(cmax) : 0, budget, &clock,
-        [&](std::size_t k, std::uint64_t& b, const AnytimeClock* k_clock) {
+        cmax > 0 ? static_cast<std::size_t>(cmax) : 0, budget,
+        [&](std::size_t k, std::uint64_t& b) {
           const int c = cmax - static_cast<int>(k);
           const int q = leaves_needed / c;
           const int cr = leaves_needed % c;
           if (q < 1 || q + (cr > 0 ? 1 : 0) < 2) return false;
           if (q + (cr > 0 ? 1 : 0) > m3) return false;
 
-          LaasCtx ctx{&state, &view, c,  q,       cr,     {},
-                      {},     {},    &b, nullptr, k_clock};
+          LaasCtx ctx{&state, &view, c, q, cr, {}, {}, {}, &b, nullptr};
           for (TreeId t = 0; t < m3; ++t) {
             if (free_leaves(state, view, t, c).empty()) continue;
             const Mask bundles = free_bundles(view, t);

@@ -51,12 +51,10 @@ class LaasAllocator final : public Allocator {
 
  private:
   /// The probe loop shared by allocate() (live view) and diagnose()
-  /// (links-unconstrained view). An active
-  /// `latency` turns the two-level pass and the width scan anytime.
+  /// (links-unconstrained view).
   std::optional<Allocation> search(const ClusterState& state,
                                    const LinkView& view,
                                    const JobRequest& request,
-                                   const AllocBudget& latency,
                                    SearchStats* stats) const;
 
   std::uint64_t step_budget_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 #include "core/search.hpp"
 #include "core/shape_table.hpp"
@@ -12,20 +11,6 @@ namespace jigsaw {
 namespace {
 
 constexpr std::size_t kMaxSolutionsPerTree = 32;
-
-/// Anytime fit score for the general three-level family, lower = better:
-/// fewest subtrees touched (spine pressure), then fewest leaves touched
-/// (uplinks), then densest leaves. Its canonical order (nL-major) is not
-/// best fit first, so a deadline-bounded scan probes it sorted by this.
-std::uint64_t three_level_shape_cost(const ThreeLevelShape& shape) {
-  const std::uint64_t leaves =
-      static_cast<std::uint64_t>(shape.full_trees) * shape.leaves_per_tree +
-      shape.rem_full_leaves + (shape.rem_leaf_nodes > 0 ? 1 : 0);
-  return (static_cast<std::uint64_t>(shape.trees_touched()) << 40) |
-         (leaves << 16) |
-         static_cast<std::uint32_t>(
-             (1u << 16) - static_cast<std::uint32_t>(shape.nodes_per_leaf));
-}
 
 /// One FIND_ALL_L2 result: LT leaves of a subtree whose available-uplink
 /// masks intersect in `m` (|m| >= nL). Solutions are deduplicated by mask —
@@ -47,13 +32,11 @@ struct L2Ctx {
   std::vector<LeafId> chosen;
   std::vector<TreeSolution>* out;
   std::uint64_t* budget;
-  const AnytimeClock* clock = nullptr;
 };
 
 void find_all_l2(L2Ctx& ctx, std::size_t start, Mask inter) {
   if (*ctx.budget == 0 || ctx.out->size() >= kMaxSolutionsPerTree) return;
   --*ctx.budget;
-  if (anytime_interrupt(ctx.clock, *ctx.budget)) return;
   if (static_cast<int>(ctx.chosen.size()) == ctx.full_leaves) {
     for (const TreeSolution& s : *ctx.out) {
       if (s.m == inter) return;  // mask-equivalent solution already stored
@@ -76,15 +59,14 @@ void find_all_l2(L2Ctx& ctx, std::size_t start, Mask inter) {
 std::vector<TreeSolution> tree_solutions(const ClusterState& state,
                                          const LinkView& view, TreeId tree,
                                          int full_leaves, int nodes_per_leaf,
-                                         std::uint64_t& budget,
-                                         const AnytimeClock* clock = nullptr) {
+                                         std::uint64_t& budget) {
   std::vector<TreeSolution> out;
   if (full_leaves == 0) {
     out.push_back(TreeSolution{{}, low_bits(state.topo().l2_per_tree())});
     return out;
   }
-  L2Ctx ctx{&state, &view, tree, full_leaves, nodes_per_leaf,
-            {},     {},    {},   &out,        &budget,       clock};
+  L2Ctx ctx{&state, &view, tree, full_leaves, nodes_per_leaf, {}, {}, {},
+            &out, &budget};
   // OR of the >= nodes_per_leaf free-count buckets, walked in ascending
   // leaf-index order — the same candidate order as a full leaf sweep.
   Mask eligible = 0;
@@ -128,7 +110,6 @@ struct L3Ctx {
   std::vector<std::size_t> chosen_solution;
   std::uint64_t* budget;
   GeneralPick* out;
-  const AnytimeClock* clock = nullptr;
 };
 
 bool tree_in_chosen(const L3Ctx& ctx, TreeId t) {
@@ -188,12 +169,11 @@ bool complete_general(L3Ctx& ctx, Mask a, const std::vector<Mask>& d) {
   for (TreeId tr = 0; tr < topo.trees(); ++tr) {
     if (*ctx.budget == 0) return false;
     --*ctx.budget;
-    if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
     if (tree_in_chosen(ctx, tr)) continue;
 
     auto rem_solutions = tree_solutions(*ctx.state, *ctx.view, tr,
                                         sh.rem_full_leaves, sh.nodes_per_leaf,
-                                        *ctx.budget, ctx.clock);
+                                        *ctx.budget);
     for (const TreeSolution& rem_sol : rem_solutions) {
       // L2 indices usable for the remainder tree's full leaves.
       Mask viable_full = 0;
@@ -268,7 +248,6 @@ bool recurse_general(L3Ctx& ctx, std::size_t start, Mask a,
                      const std::vector<Mask>& d) {
   if (*ctx.budget == 0) return false;
   --*ctx.budget;
-  if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
   if (static_cast<int>(ctx.chosen.size()) == ctx.shape.full_trees) {
     return complete_general(ctx, a, d);
   }
@@ -341,7 +320,7 @@ Allocation materialize_general(const ClusterState& state,
 
 std::optional<Allocation> LeastConstrainedAllocator::allocate(
     const ClusterState& state, const JobRequest& request,
-    const AllocBudget& budget, SearchStats* stats) const {
+    const AllocBudget& /*budget*/, SearchStats* stats) const {
   const FatTree& topo = state.topo();
   if (request.nodes < 1 || request.nodes > topo.total_nodes()) {
     return std::nullopt;
@@ -349,7 +328,7 @@ std::optional<Allocation> LeastConstrainedAllocator::allocate(
   if (request.nodes > state.total_free_nodes()) return std::nullopt;
 
   const double demand = share_links_ ? request.bandwidth : 0.0;
-  return search(state, demand, /*ignore_links=*/false, request, budget, stats);
+  return search(state, demand, /*ignore_links=*/false, request, stats);
 }
 
 BlockedReason LeastConstrainedAllocator::diagnose(
@@ -364,9 +343,7 @@ BlockedReason LeastConstrainedAllocator::diagnose(
   // Same probe loop, links (and demand) unconstrained: a placement found
   // here but not by allocate() was rejected by the link conditions.
   SearchStats stats;
-  if (search(state, 0.0, /*ignore_links=*/true, request, AllocBudget{},
-             &stats)
-          .has_value()) {
+  if (search(state, 0.0, /*ignore_links=*/true, request, &stats).has_value()) {
     return BlockedReason::kUplinkIsolation;
   }
   if (stats.budget_exhausted) return BlockedReason::kBudgetExhausted;
@@ -375,26 +352,19 @@ BlockedReason LeastConstrainedAllocator::diagnose(
 
 std::optional<Allocation> LeastConstrainedAllocator::search(
     const ClusterState& state, double demand, bool ignore_links,
-    const JobRequest& request, const AllocBudget& latency,
-    SearchStats* stats) const {
+    const JobRequest& request, SearchStats* stats) const {
   const FatTree& topo = state.topo();
   const LinkView view = ignore_links ? LinkView::links_unconstrained(&state)
                                      : LinkView{&state, demand};
   std::uint64_t budget = step_budget_;
-  const AnytimeClock clock(latency);
   auto record = [&](bool exhausted) {
     if (stats != nullptr) {
       stats->steps += step_budget_ - budget;
       stats->budget_exhausted = stats->budget_exhausted || exhausted;
-      stats->anytime = stats->anytime || clock.active();
-      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
   };
   auto fold = [&](const CandidateScan& r) {
-    if (stats != nullptr) {
-      stats->probes += r.probes;
-      stats->deadline_expired = stats->deadline_expired || r.expired;
-    }
+    if (stats != nullptr) stats->probes += r.probes;
   };
 
   const auto shapes2 = two_level_shape_seq(request.nodes, topo);
@@ -402,7 +372,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     TwoLevelPick pick;
     const CandidateScan r =
         scan_two_level(state, view, shapes2.span(), TreeOrder::kIndex, budget,
-                       &clock, &pick);
+                       &pick);
     fold(r);
     if (r.winner >= 0) {
       record(false);
@@ -413,10 +383,6 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
       record(true);
       return std::nullopt;
     }
-    // On pass-1 expiry without a winner we still fall through: the general
-    // three-level family may hold the only feasible placement, and every
-    // scan probes its first candidate unclocked, so the overrun is
-    // bounded at one probe.
   }
 
   const auto shapes3 = three_level_shape_seq(request.nodes, topo,
@@ -425,24 +391,9 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     GeneralPick pick;
     const std::vector<Mask> all(static_cast<std::size_t>(topo.l2_per_tree()),
                                 low_bits(topo.spines_per_group()));
-    // Under a deadline, probe the general family best fit first.
-    std::vector<std::uint32_t> rank3;
-    if (clock.active()) {
-      rank3.resize(shapes3.size());
-      std::iota(rank3.begin(), rank3.end(), 0u);
-      std::stable_sort(rank3.begin(), rank3.end(),
-                       [&](std::uint32_t x, std::uint32_t y) {
-                         return three_level_shape_cost(shapes3[x]) <
-                                three_level_shape_cost(shapes3[y]);
-                       });
-    }
-    auto shape3_at = [&](std::size_t pos) {
-      return clock.active() ? static_cast<std::size_t>(rank3[pos]) : pos;
-    };
     const CandidateScan r = scan_first_feasible(
-        shapes3.size(), budget, &clock,
-        [&](std::size_t si, std::uint64_t& b, const AnytimeClock* c) {
-          const ThreeLevelShape& shape = shapes3[shape3_at(si)];
+        shapes3.size(), budget, [&](std::size_t si, std::uint64_t& b) {
+          const ThreeLevelShape& shape = shapes3[si];
           // Node-count feasibility screen: enough trees must hold enough
           // sufficiently-free leaves before any link search is worth
           // running. Step-free, like the `continue`s it replaces.
@@ -464,7 +415,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
             return false;
           }
 
-          L3Ctx ctx{&state, &view, shape, {}, {}, {}, {}, &b, nullptr, c};
+          L3Ctx ctx{&state, &view, shape, {}, {}, {}, {}, &b, nullptr};
           for (TreeId t = 0; t < topo.trees(); ++t) {
             if (deep_row[static_cast<std::size_t>(t)] <
                 shape.leaves_per_tree) {
@@ -472,7 +423,7 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
             }
             auto solutions = tree_solutions(state, view, t,
                                             shape.leaves_per_tree,
-                                            shape.nodes_per_leaf, b, c);
+                                            shape.nodes_per_leaf, b);
             if (solutions.empty()) continue;
             ctx.cand_trees.push_back(t);
             ctx.cand_solutions.push_back(std::move(solutions));
@@ -488,8 +439,8 @@ std::optional<Allocation> LeastConstrainedAllocator::search(
     if (r.winner >= 0) {
       record(false);
       return materialize_general(
-          state, shapes3[shape3_at(static_cast<std::size_t>(r.winner))],
-          pick, request.id, request.nodes, demand);
+          state, shapes3[static_cast<std::size_t>(r.winner)], pick,
+          request.id, request.nodes, demand);
     }
     if (r.exhausted) {
       record(true);

@@ -54,13 +54,9 @@ class LeastConstrainedAllocator final : public Allocator {
  private:
   /// The probe loop shared by allocate() (live availability lens) and
   /// diagnose() (links-unconstrained).
-  /// An active `latency` turns both passes anytime; the general
-  /// three-level family is then probed sorted best fit first, computed
-  /// per call (it is never tabled).
   std::optional<Allocation> search(const ClusterState& state, double demand,
                                    bool ignore_links,
                                    const JobRequest& request,
-                                   const AllocBudget& latency,
                                    SearchStats* stats) const;
 
   bool share_links_;

@@ -49,7 +49,6 @@ struct TwoLevelCtx {
   Mask chosen = 0;                        ///< leaf indices picked so far
   std::uint64_t* budget = nullptr;
   TwoLevelPick* out = nullptr;
-  const AnytimeClock* clock = nullptr;
 };
 
 /// Base case: LT full leaves chosen with common-uplink mask `inter`;
@@ -104,7 +103,6 @@ bool complete_two_level(TwoLevelCtx& ctx, Mask inter) {
 bool recurse_two_level(TwoLevelCtx& ctx, int start, Mask inter) {
   if (*ctx.budget == 0) return false;
   --*ctx.budget;
-  if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
   const int picked = popcount(ctx.chosen);
   if (picked == ctx.shape.full_leaves) return complete_two_level(ctx, inter);
   const int need = ctx.shape.full_leaves - picked;
@@ -124,8 +122,7 @@ bool recurse_two_level(TwoLevelCtx& ctx, int start, Mask inter) {
 
 bool find_two_level(const ClusterState& state, const LinkView& view,
                     const TwoLevelShape& shape, TreeId tree,
-                    std::uint64_t& budget, TwoLevelPick* out,
-                    const AnytimeClock* clock) {
+                    std::uint64_t& budget, TwoLevelPick* out) {
   const FatTree& topo = state.topo();
   TwoLevelCtx ctx;
   ctx.state = &state;
@@ -135,7 +132,6 @@ bool find_two_level(const ClusterState& state, const LinkView& view,
   ctx.needs_links = shape.leaves_touched() > 1;
   ctx.budget = &budget;
   ctx.out = out;
-  ctx.clock = clock;
   // Best fit: prefer the leaves with the fewest free nodes, so partially
   // used leaves fill up and pristine leaves stay available for the
   // whole-leaf three-level placements large jobs need. This ordering is
@@ -189,7 +185,7 @@ void order_trees(const ClusterState& state, TreeOrder order,
 CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
                              std::span<const TwoLevelShape> shapes,
                              TreeOrder order, std::uint64_t& budget,
-                             const AnytimeClock* clock, TwoLevelPick* pick) {
+                             TwoLevelPick* pick) {
   // Capacity screen. find_two_level() needs full_leaves leaves holding at
   // least nodes_per_leaf free nodes, and turns a tree short of them away
   // before its first step. The maintained at-least tallies answer that
@@ -216,10 +212,9 @@ CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
     }
   }
   CandidateScan r = scan_first_feasible(
-      sc.pairs.size(), budget, clock,
-      [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
+      sc.pairs.size(), budget, [&](std::size_t pos, std::uint64_t& b) {
         return find_two_level(state, view, shapes[sc.pairs[pos].shape],
-                              sc.pairs[pos].tree, b, pick, c);
+                              sc.pairs[pos].tree, b, pick);
       });
   if (r.winner >= 0) {
     r.winner = static_cast<std::ptrdiff_t>(
@@ -238,7 +233,6 @@ struct ThreeLevelCtx {
   Scratch* sc;  ///< cand_trees, tree_up (w2 words each) and chosen
   std::uint64_t* budget;
   ThreeLevelPick* out;
-  const AnytimeClock* clock = nullptr;
 };
 
 /// Lowest `count` fully-available leaves of tree t, as leaf indices; 0
@@ -362,7 +356,6 @@ bool complete_three_level(ThreeLevelCtx& ctx, const Mask* inter) {
   for (TreeId tr = 0; tr < topo.trees(); ++tr) {
     if (*ctx.budget == 0) return false;
     --*ctx.budget;
-    if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
     if (std::find(chosen.begin(), chosen.end(), tr) != chosen.end()) continue;
     if (try_remainder_tree(ctx, tr, inter)) return true;
   }
@@ -373,7 +366,6 @@ bool recurse_three_level(ThreeLevelCtx& ctx, std::size_t start,
                          const Mask* inter) {
   if (*ctx.budget == 0) return false;
   --*ctx.budget;
-  if (anytime_interrupt(ctx.clock, *ctx.budget)) return false;
   std::vector<TreeId>& chosen = ctx.sc->chosen;
   if (static_cast<int>(chosen.size()) == ctx.shape.full_trees) {
     return complete_three_level(ctx, inter);
@@ -402,8 +394,7 @@ bool find_three_level_full_leaves(const ClusterState& state,
                                   const LinkView& view,
                                   const ThreeLevelShape& shape,
                                   std::uint64_t& budget,
-                                  ThreeLevelPick* out,
-                                  const AnytimeClock* clock) {
+                                  ThreeLevelPick* out) {
   const FatTree& topo = state.topo();
   if (shape.nodes_per_leaf != topo.nodes_per_leaf()) {
     throw std::invalid_argument(
@@ -440,7 +431,7 @@ bool find_three_level_full_leaves(const ClusterState& state,
     sc.cand_trees.push_back(t);
   }
   if (static_cast<int>(sc.cand_trees.size()) < shape.full_trees) return false;
-  ThreeLevelCtx ctx{&state, &view, shape, words, &sc, &budget, out, clock};
+  ThreeLevelCtx ctx{&state, &view, shape, words, &sc, &budget, out};
   Row all{};
   std::fill_n(all.begin(), words, low_bits(topo.spines_per_group()));
   return recurse_three_level(ctx, 0, all.data());
@@ -449,7 +440,7 @@ bool find_three_level_full_leaves(const ClusterState& state,
 CandidateScan scan_three_level_full_leaves(
     const ClusterState& state, const LinkView& view,
     std::span<const ThreeLevelShape> shapes, std::uint64_t& budget,
-    const AnytimeClock* clock, ThreeLevelPick* pick) {
+    ThreeLevelPick* pick) {
   // Whole-leaf screen. Every leaf a full tree gives the shape is fully
   // free, and so is every whole leaf of the remainder tree, which must
   // be a further tree. trees_with[j] counts the trees holding at least j
@@ -482,10 +473,9 @@ CandidateScan scan_three_level_full_leaves(
     hostable.push_back(static_cast<std::uint32_t>(s));
   }
   CandidateScan r = scan_first_feasible(
-      hostable.size(), budget, clock,
-      [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
+      hostable.size(), budget, [&](std::size_t pos, std::uint64_t& b) {
         return find_three_level_full_leaves(state, view,
-                                            shapes[hostable[pos]], b, pick, c);
+                                            shapes[hostable[pos]], b, pick);
       });
   if (r.winner >= 0) {
     r.winner = static_cast<std::ptrdiff_t>(

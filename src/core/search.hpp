@@ -171,20 +171,16 @@ struct ThreeLevelPick {
 /// that still suffice) to conserve empty leaves. A tree with fewer than
 /// full_leaves leaves holding nodes_per_leaf free nodes is rejected
 /// before the first step; scan_two_level() screens those trees out so
-/// they never reach this call. A non-null `clock` makes long searches
-/// cooperative: every 1024 steps (anytime_interrupt) an expired deadline
-/// truncates the recursion, reporting infeasible for the rest of this
-/// candidate — the default null clock costs one pointer test.
+/// they never reach this call.
 bool find_two_level(const ClusterState& state, const LinkView& view,
                     const TwoLevelShape& shape, TreeId tree,
-                    std::uint64_t& budget, TwoLevelPick* out,
-                    const AnytimeClock* clock = nullptr);
+                    std::uint64_t& budget, TwoLevelPick* out);
 
 /// Trees best fit first: fewest free nodes, ties by ascending index.
 /// Packing small jobs into already-busy subtrees keeps other subtrees
 /// whole for the three-level placements that large jobs require.
 /// scan_two_level() builds the same order in reused per-thread scratch;
-/// this allocating form serves TA's deadline order and the tests.
+/// this allocating form is the tests' reference order for that scan.
 std::vector<TreeId> trees_best_fit(const ClusterState& state);
 
 /// The order in which a two-level scan visits trees within a shape.
@@ -211,15 +207,14 @@ enum class TreeOrder {
 CandidateScan scan_two_level(const ClusterState& state, const LinkView& view,
                              std::span<const TwoLevelShape> shapes,
                              TreeOrder order, std::uint64_t& budget,
-                             const AnytimeClock* clock, TwoLevelPick* pick);
+                             TwoLevelPick* pick);
 
 /// Searches the whole machine for a placement of a whole-leaf three-level
 /// shape (shape.nodes_per_leaf must equal the topology's nodes-per-leaf).
 bool find_three_level_full_leaves(const ClusterState& state,
                                   const LinkView& view,
                                   const ThreeLevelShape& shape,
-                                  std::uint64_t& budget, ThreeLevelPick* out,
-                                  const AnytimeClock* clock = nullptr);
+                                  std::uint64_t& budget, ThreeLevelPick* out);
 
 /// Jigsaw's restricted three-level pass: probe the whole-leaf `shapes`
 /// in order and stop at the first one find_three_level_full_leaves()
@@ -233,7 +228,7 @@ bool find_three_level_full_leaves(const ClusterState& state,
 CandidateScan scan_three_level_full_leaves(
     const ClusterState& state, const LinkView& view,
     std::span<const ThreeLevelShape> shapes, std::uint64_t& budget,
-    const AnytimeClock* clock, ThreeLevelPick* pick);
+    ThreeLevelPick* pick);
 
 /// Expand a pick into the concrete resource set, reserving each vector's
 /// exact size up front. The state must be the one the pick was searched

@@ -51,8 +51,8 @@ struct ThreeLevelShape {
 /// All two-level shapes for `size` nodes on `topo`, densest first
 /// (nL descending). The canonical order is already best fit first:
 /// leaves_touched() = ceil(size / nL) never decreases along it, so a
-/// first-feasible scan — including one a deadline cuts short — commits
-/// the feasible shape touching the fewest leaves and links.
+/// first-feasible scan commits the feasible shape touching the fewest
+/// leaves and links.
 std::vector<TwoLevelShape> two_level_shapes(int size, const FatTree& topo);
 
 /// All three-level shapes. With `restrict_full_leaves` (Jigsaw's §4

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/search.hpp"
+#include "core/candidate_scan.hpp"
 
 namespace jigsaw {
 
@@ -84,7 +84,7 @@ bool fill_from_tree(const ClusterState& state, TreeId t, int count,
 
 std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
                                                 const JobRequest& request,
-                                                const AllocBudget& latency,
+                                                const AllocBudget& /*budget*/,
                                                 SearchStats* stats) const {
   const FatTree& topo = state.topo();
   if (request.nodes < 1 || request.nodes > topo.total_nodes()) {
@@ -92,11 +92,6 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
   }
   const int m1 = topo.nodes_per_leaf();
   const int tree_capacity = m1 * topo.leaves_per_tree();
-  // Only the intra-subtree tier has a candidate scan to bound; the other
-  // two tiers are single O(leaves)/O(trees) sweeps cheaper than a clock
-  // read per element.
-  const AnytimeClock clock(latency);
-  if (stats != nullptr && clock.active()) stats->anytime = true;
 
   Allocation a;
   a.job = request.id;
@@ -128,19 +123,13 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
     // has no step budget; each tree probe charges exactly one step to a
     // synthetic budget that cannot exhaust, so the scan engine's ledger
     // reproduces the historical one-increment-per-tree-visited stats.
-    // Anytime mode probes trees best-fit (fewest free nodes first): the
-    // min-position winner is then the placement that packs tightest and
-    // implicitly reserves the fewest pristine leaves.
-    const std::vector<TreeId> best_fit =
-        clock.active() ? trees_best_fit(state) : std::vector<TreeId>{};
     std::uint64_t budget = static_cast<std::uint64_t>(topo.trees()) + 1;
     const std::uint64_t full = budget;
     const CandidateScan r = scan_first_feasible(
-        static_cast<std::size_t>(topo.trees()), budget, &clock,
-        [&](std::size_t ti, std::uint64_t& b, const AnytimeClock*) {
+        static_cast<std::size_t>(topo.trees()), budget,
+        [&](std::size_t ti, std::uint64_t& b) {
           --b;
-          const TreeId t =
-              clock.active() ? best_fit[ti] : static_cast<TreeId>(ti);
+          const auto t = static_cast<TreeId>(ti);
           // Usable capacity never exceeds the tree's free-node index, so
           // a short tree can be skipped without the per-leaf uplink scan.
           if (state.tree_free_nodes(t) < request.nodes) return false;
@@ -162,8 +151,6 @@ std::optional<Allocation> TaAllocator::allocate(const ClusterState& state,
     if (stats != nullptr) {
       stats->steps += full - budget;
       stats->probes += r.probes;
-      stats->deadline_expired = stats->deadline_expired || r.expired;
-      if (clock.active()) stats->slack_ns = clock.slack_ns();
     }
     if (r.winner >= 0) return a;
     return std::nullopt;

@@ -106,8 +106,7 @@ SimEngine::SimEngine(const FatTree& topo, const Allocator& allocator,
       so_(config_.obs),
       state_(topo, config.usable_bandwidth),
       scheduler_(allocator, config.backfill_window, config.backfill_order,
-                 config.admission_quick_reject,
-                 AllocBudget{config.alloc_deadline_us * 1000}),
+                 config.admission_quick_reject),
       timeline_(topo.total_nodes()) {
   // Measured interference penalizes schedulers without isolation
   // guarantees (in this library: Baseline) instead of speeding up the

@@ -27,18 +27,6 @@ struct PassObs {
   obs::Counter* cache_hits = nullptr;
   obs::Counter* quick_rejects = nullptr;
   obs::Counter* backfill_memo_skips = nullptr;
-  /// Anytime (deadline-bounded) search surface. deadline_hits counts
-  /// allocate calls whose search expired before exhausting the candidate
-  /// space; anytime_commits the subset that still committed a placement
-  /// (the best-so-far under the best-fit-first order);
-  /// probes_at_expiry accumulates how many candidates those expired calls
-  /// managed to probe. deadline_slack records deadline-minus-elapsed
-  /// seconds per deadline-bounded call (negative = overran; the
-  /// histogram's underflow bucket absorbs those).
-  obs::Counter* deadline_hits = nullptr;
-  obs::Counter* anytime_commits = nullptr;
-  obs::Counter* probes_at_expiry = nullptr;
-  obs::Histogram* deadline_slack = nullptr;
   obs::Histogram* call_seconds = nullptr;
   obs::Histogram* steps_per_call = nullptr;
   /// Blocked-reason attribution (§3.2 condition classes): one counter per
@@ -63,10 +51,6 @@ struct PassObs {
     cache_hits = &m.counter("sched.cache_hits");
     quick_rejects = &m.counter("sched.quick_reject");
     backfill_memo_skips = &m.counter("sched.backfill_memo_skips");
-    deadline_hits = &m.counter("sched.deadline_hits");
-    anytime_commits = &m.counter("sched.anytime_commits");
-    probes_at_expiry = &m.counter("alloc.probes_at_expiry");
-    deadline_slack = &m.histogram("alloc.deadline_slack_seconds");
     call_seconds = &m.histogram("alloc.call_seconds");
     steps_per_call = &m.histogram("alloc.search_steps_per_call");
     head_blocked_passes = &m.counter("sched.head_blocked_passes");
@@ -163,9 +147,8 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
       return std::nullopt;
     }
     obs::ScopedTimer timer(po.call_seconds, po.call_seconds != nullptr);
-    auto result =
-        allocator_->allocate(s, JobRequest{p.id, p.nodes, p.bandwidth},
-                             alloc_budget_, &search);
+    auto result = allocator_->allocate(
+        s, JobRequest{p.id, p.nodes, p.bandwidth}, &search);
     timer.stop();
     if (search_out != nullptr) *search_out = search;
     if (stats != nullptr) {
@@ -179,16 +162,6 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
       po.search_steps->add(search.steps);
       if (search.budget_exhausted) po.budget_exhaustions->add();
       po.steps_per_call->add(static_cast<double>(search.steps));
-      if (search.anytime) {
-        if (alloc_budget_.deadline_ns > 0) {
-          po.deadline_slack->add(static_cast<double>(search.slack_ns) * 1e-9);
-        }
-        if (search.deadline_expired) {
-          po.deadline_hits->add();
-          po.probes_at_expiry->add(search.probes);
-          if (result.has_value()) po.anytime_commits->add();
-        }
-      }
     }
     if (po.tracing) {
       obs::TraceEvent e = obs::instant("alloc", "alloc.attempt", now);
@@ -409,8 +382,8 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
   // Per-pass failure memo. From here on the pass only takes resources,
   // and allocate() reads nothing of a request but its node count and
   // bandwidth, so a key that failed definitively earlier in this loop
-  // fails again. A search cut short by the step budget or the deadline
-  // proved nothing and is not remembered.
+  // fails again. A search cut short by the step budget proved nothing
+  // and is not remembered.
   std::vector<std::pair<int, double>> failed_keys;
   auto failed_before = [&](const PendingJob& p) {
     return std::find(failed_keys.begin(), failed_keys.end(),
@@ -431,7 +404,7 @@ std::vector<EasyScheduler::Decision> EasyScheduler::schedule(
     SearchStats search;
     auto trial = try_alloc(state, pending[k], "backfill", &search);
     if (!trial.has_value()) {
-      if (!search.budget_exhausted && !search.deadline_expired) {
+      if (!search.budget_exhausted) {
         failed_keys.emplace_back(pending[k].nodes, pending[k].bandwidth);
       }
       note_backfill(pending[k], "no_placement", false);

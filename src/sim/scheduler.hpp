@@ -93,15 +93,11 @@ class EasyScheduler {
   /// is decision-neutral; it changes only the work done, never which
   /// jobs start. Off by default because golden tests pin exact
   /// allocate-call counts.
-  /// `alloc_budget` bounds every placement search the pass issues (head,
-  /// shadow probe, backfill) with the allocator's anytime deadline; the
-  /// default inactive budget keeps the historical exhaustive behavior
-  /// bit-identical.
   EasyScheduler(const Allocator& allocator, int backfill_window,
                 BackfillOrder order = BackfillOrder::kFifo,
-                bool quick_reject = false, AllocBudget alloc_budget = {})
+                bool quick_reject = false)
       : allocator_(&allocator), window_(backfill_window), order_(order),
-        quick_reject_(quick_reject), alloc_budget_(alloc_budget) {}
+        quick_reject_(quick_reject) {}
 
   struct Decision {
     std::size_t pending_index;
@@ -163,11 +159,11 @@ class EasyScheduler {
   /// per-allocate-call `alloc.attempt` events and timing histograms,
   /// `sched.head_blocked` with the shadow reservation, and one
   /// `sched.backfill` event per candidate with the accept/reject reason.
-  /// A null `obs` emits and times nothing; only an allocation deadline
-  /// reads the clock. The pass allocates its decisions and its per-pass
-  /// lists (completion order, release ladder, backfill window, failure
-  /// memo). A warm Jigsaw allocate() call allocates only the Allocation
-  /// it returns, and so does a LaaS call that places within one subtree.
+  /// A null `obs` emits and times nothing. No decision reads the clock.
+  /// The pass allocates its decisions and its per-pass lists
+  /// (completion order, release ladder, backfill window, failure memo).
+  /// A warm Jigsaw allocate() call allocates only the Allocation it
+  /// returns, and so does a LaaS call that places within one subtree.
   std::vector<Decision> schedule(double now, ClusterState& state,
                                  const std::deque<PendingJob>& pending,
                                  const std::vector<RunningJob>& running,
@@ -180,7 +176,6 @@ class EasyScheduler {
   int window_;
   BackfillOrder order_;
   bool quick_reject_;
-  AllocBudget alloc_budget_;
 };
 
 }  // namespace jigsaw

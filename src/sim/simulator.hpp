@@ -46,10 +46,7 @@ struct SimConfig {
   /// never which jobs start. Off by default so golden batch tests keep
   /// pinning exact allocate-call counts; the service daemon enables it.
   bool admission_quick_reject = false;
-  /// Anytime placement-search deadline, microseconds per allocate() call
-  /// (0 = exhaustive, the historical bit-identical default). With a
-  /// deadline the allocator probes candidates best fit first and commits
-  /// the best feasible placement found when time runs out.
+  /// Inert: benchmark/sim_workload.cpp sets it; ROADMAP item 1 deletes it.
   std::int64_t alloc_deadline_us = 0;
   /// Per-wire bandwidth budget for link sharing: peak 5 GB/s x 80% cap
   /// (§5.4.2).

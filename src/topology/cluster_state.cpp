@@ -40,8 +40,6 @@ ClusterState::ClusterState(const FatTree& topo, double usable_bandwidth)
                  topo.nodes_per_leaf()),
       tree_free_(static_cast<std::size_t>(topo.trees()),
                  topo.nodes_per_leaf() * topo.leaves_per_tree()),
-      tree_fully_free_(static_cast<std::size_t>(topo.trees()),
-                       topo.leaves_per_tree()),
       fully_free_mask_(static_cast<std::size_t>(topo.trees()),
                        low_bits(topo.leaves_per_tree())),
       leaf_bucket_(static_cast<std::size_t>(topo.trees()) *
@@ -49,9 +47,7 @@ ClusterState::ClusterState(const FatTree& topo, double usable_bandwidth)
                    0),
       at_least_(static_cast<std::size_t>(topo.trees()) *
                     (static_cast<std::size_t>(topo.nodes_per_leaf()) + 1),
-                topo.leaves_per_tree()),
-      l2_up_count_(static_cast<std::size_t>(topo.total_l2()),
-                   topo.spines_per_group()) {
+                topo.leaves_per_tree()) {
   // Every leaf starts in its tree's "all nodes free" bucket.
   const std::size_t stride =
       static_cast<std::size_t>(topo.nodes_per_leaf()) + 1;
@@ -89,15 +85,9 @@ void ClusterState::refresh_leaf_index(LeafId l) {
   }
   if (old_count == m1) {
     fully_free_mask_[t] &= ~li_bit;
-    --tree_fully_free_[t];
   } else if (new_count == m1) {
     fully_free_mask_[t] |= li_bit;
-    ++tree_fully_free_[t];
   }
-}
-
-void ClusterState::refresh_l2_index(std::size_t l2) {
-  l2_up_count_[l2] = popcount(free_l2_up_[l2] & healthy_l2_up_[l2]);
 }
 
 // ---- journaling setters -------------------------------------------------
@@ -136,13 +126,11 @@ void ClusterState::set_healthy_leaf_up(LeafId l, Mask v) {
 void ClusterState::set_free_l2_up(std::size_t l2, Mask v) {
   journal(Field::kFreeL2Up, l2, free_l2_up_[l2]);
   free_l2_up_[l2] = v;
-  refresh_l2_index(l2);
 }
 
 void ClusterState::set_healthy_l2_up(std::size_t l2, Mask v) {
   journal(Field::kHealthyL2Up, l2, healthy_l2_up_[l2]);
   healthy_l2_up_[l2] = v;
-  refresh_l2_index(l2);
 }
 
 void ClusterState::set_residual_leaf_up(std::size_t wire, double v) {
@@ -184,11 +172,9 @@ void ClusterState::restore(const UndoEntry& e) {
       break;
     case Field::kFreeL2Up:
       free_l2_up_[i] = e.old_bits;
-      refresh_l2_index(i);
       break;
     case Field::kHealthyL2Up:
       healthy_l2_up_[i] = e.old_bits;
-      refresh_l2_index(i);
       break;
     case Field::kResidualLeafUp:
       residual_leaf_up_[i] = std::bit_cast<double>(e.old_bits);
@@ -511,9 +497,6 @@ bool ClusterState::check_invariants() const {
   for (std::size_t l2 = 0; l2 < free_l2_up_.size(); ++l2) {
     if (free_l2_up_[l2] & ~spine_range) return false;
     if (healthy_l2_up_[l2] & ~spine_range) return false;
-    if (l2_up_count_[l2] != popcount(free_l2_up_[l2] & healthy_l2_up_[l2])) {
-      return false;
-    }
     refailed_wires += popcount(spine_range & ~healthy_l2_up_[l2]);
   }
   if (recount != total_free_nodes_) return false;
@@ -523,7 +506,6 @@ bool ClusterState::check_invariants() const {
   const std::size_t stride = static_cast<std::size_t>(m1) + 1;
   for (TreeId t = 0; t < topo_->trees(); ++t) {
     int sum = 0;
-    int fully = 0;
     Mask fully_mask = 0;
     std::vector<Mask> buckets(stride, 0);
     for (int li = 0; li < topo_->leaves_per_tree(); ++li) {
@@ -531,13 +513,9 @@ bool ClusterState::check_invariants() const {
       const int count = leaf_free_[l];
       sum += count;
       buckets[static_cast<std::size_t>(count)] |= Mask{1} << li;
-      if (count == m1) {
-        ++fully;
-        fully_mask |= Mask{1} << li;
-      }
+      if (count == m1) fully_mask |= Mask{1} << li;
     }
     if (tree_free_[t] != sum) return false;
-    if (tree_fully_free_[t] != fully) return false;
     if (fully_free_mask_[t] != fully_mask) return false;
     int at_least = 0;
     for (int c = m1; c >= 0; --c) {
@@ -627,7 +605,6 @@ bool ClusterState::load_raw_state(const RawState& raw) {
   failed_wires_ = 0;
   std::fill(leaf_bucket_.begin(), leaf_bucket_.end(), Mask{0});
   std::fill(tree_free_.begin(), tree_free_.end(), 0);
-  std::fill(tree_fully_free_.begin(), tree_fully_free_.end(), 0);
   std::fill(fully_free_mask_.begin(), fully_free_mask_.end(), Mask{0});
   for (std::size_t l = 0; l < leaves; ++l) {
     const int count = popcount(free_nodes_[l] & healthy_nodes_[l]);
@@ -641,10 +618,7 @@ bool ClusterState::load_raw_state(const RawState& raw) {
     tree_free_[t] += count;
     leaf_bucket_[static_cast<std::size_t>(t) * stride +
                  static_cast<std::size_t>(count)] |= li_bit;
-    if (count == m1) {
-      ++tree_fully_free_[t];
-      fully_free_mask_[t] |= li_bit;
-    }
+    if (count == m1) fully_free_mask_[t] |= li_bit;
   }
   const std::size_t trees = static_cast<std::size_t>(topo_->trees());
   for (std::size_t t = 0; t < trees; ++t) {
@@ -655,7 +629,6 @@ bool ClusterState::load_raw_state(const RawState& raw) {
     }
   }
   for (std::size_t l2 = 0; l2 < l2s; ++l2) {
-    l2_up_count_[l2] = popcount(free_l2_up_[l2] & healthy_l2_up_[l2]);
     failed_wires_ += popcount(spine_range & ~healthy_l2_up_[l2]);
   }
   return true;

@@ -18,11 +18,10 @@
 //
 //  * Incremental capacity indices. Every mutation — apply, release, fail,
 //    repair — maintains per-leaf free-node counts, per-tree free-node
-//    sums, per-tree fully-free-leaf masks, per-(tree, count) leaf buckets,
-//    per-(count, tree) tallies of leaves with at least that many free
-//    nodes, and per-L2 uplink popcounts, so allocator candidate
-//    collection reads O(1)/O(buckets) indices instead of rescanning every
-//    leaf and tree.
+//    sums, per-tree fully-free-leaf masks, per-(tree, count) leaf buckets
+//    and per-(count, tree) tallies of leaves with at least that many free
+//    nodes, so allocator candidate collection reads O(1)/O(buckets)
+//    indices instead of rescanning every leaf and tree.
 //
 //  * An undo journal. Inside a Txn, every mask/residual write records the
 //    old value; Txn::rollback() restores the touched words in reverse and
@@ -76,7 +75,9 @@ class ClusterState {
   // Maintained by every mutation (including health-mask changes); all
   // reads are O(1).
   /// Number of fully-free leaves in tree t.
-  int fully_free_leaves(TreeId t) const { return tree_fully_free_[t]; }
+  int fully_free_leaves(TreeId t) const {
+    return popcount(fully_free_mask_[t]);
+  }
   /// Mask of leaf-indices-in-tree that are fully free (free AND healthy).
   Mask fully_free_leaf_mask(TreeId t) const { return fully_free_mask_[t]; }
   /// Sum of free_node_count over the leaves of tree t.
@@ -100,11 +101,6 @@ class ClusterState {
     const std::size_t trees = static_cast<std::size_t>(topo_->trees());
     return {at_least_.data() + static_cast<std::size_t>(count) * trees,
             trees};
-  }
-  /// popcount(free_l2_up(t, l2_index)) without touching the masks.
-  int free_l2_up_count(TreeId t, int l2_index) const {
-    return l2_up_count_[static_cast<std::size_t>(
-        t * topo_->l2_per_tree() + l2_index)];
   }
   /// AND of free_l2_up(t, i) over every L2 switch of tree t: bit j set
   /// when the wire to spine j is free-and-healthy from *all* of them.
@@ -307,8 +303,6 @@ class ClusterState {
   /// bucket bit, fully-free bit, at-least tallies and the tree/total
   /// sums).
   void refresh_leaf_index(LeafId l);
-  /// Re-derive the uplink popcount of flat L2 index l2.
-  void refresh_l2_index(std::size_t l2);
   void journal(Field f, std::size_t index, std::uint64_t old_bits);
 
   void ensure_bandwidth_tracking();
@@ -331,11 +325,9 @@ class ClusterState {
   // Incremental indices, derived from the masks above.
   std::vector<int> leaf_free_;        // per leaf: popcount(free & healthy)
   std::vector<int> tree_free_;        // per tree: sum over its leaves
-  std::vector<int> tree_fully_free_;  // per tree: #leaves with count == m1
   std::vector<Mask> fully_free_mask_; // per tree: mask of fully-free leaves
   std::vector<Mask> leaf_bucket_;     // per (tree * (m1+1) + count)
   std::vector<int> at_least_;         // per (count * trees + tree)
-  std::vector<int> l2_up_count_;      // per (tree * w2 + i)
 
   // Undo journal; entries are recorded only while a Txn is open.
   std::vector<UndoEntry> journal_;

@@ -4,9 +4,8 @@
 // Every allocator's committed placement, consumed budget and exhaustion
 // flag come from scan_first_feasible(), so the engine is pinned here on
 // synthetic probes: which position wins, whether the scan reports the
-// budget exhausted, how much budget is left, how many probes it charged,
-// and which probes receive the deadline clock. The whole-simulation
-// goldens live in test_txn_equivalence.cpp.
+// budget exhausted, how much budget is left and how many probes it
+// charged. The whole-simulation goldens live in test_txn_equivalence.cpp.
 
 #include <gtest/gtest.h>
 
@@ -85,38 +84,14 @@ TEST(CandidateScan, MatchesPrefixSumLedgerModelOnRandomProbes) {
     const std::uint64_t start = 1 + rng.below(60);
     const LedgerModel want = model(costs, feas, start);
 
-    // No clock: every probe runs unclocked.
     std::uint64_t budget = start;
-    const CandidateScan got = scan_first_feasible(
-        count, budget, nullptr,
-        [&](std::size_t i, std::uint64_t& b, const AnytimeClock* c) {
-          EXPECT_EQ(c, nullptr) << "trial " << trial << " pos " << i;
-          return run_probe(i, b);
-        });
+    const CandidateScan got = scan_first_feasible(count, budget, run_probe);
     ASSERT_EQ(got.winner, want.winner) << "trial " << trial;
     ASSERT_EQ(got.exhausted, want.exhausted) << "trial " << trial;
     ASSERT_EQ(budget, want.left) << "trial " << trial;
     ASSERT_EQ(got.probes, want.probes) << "trial " << trial;
-    ASSERT_FALSE(got.expired) << "trial " << trial;
     if (got.winner >= 0) ++winners;
     if (got.exhausted) ++exhaustions;
-
-    // An active clock that cannot fire leaves the ledger unchanged;
-    // position 0 runs unclocked and every later probe gets the clock.
-    const AnytimeClock far(AllocBudget{std::int64_t{1} << 62});
-    std::uint64_t clocked_budget = start;
-    const CandidateScan clocked = scan_first_feasible(
-        count, clocked_budget, &far,
-        [&](std::size_t i, std::uint64_t& b, const AnytimeClock* c) {
-          EXPECT_EQ(c, i == 0 ? nullptr : &far)
-              << "trial " << trial << " pos " << i;
-          return run_probe(i, b);
-        });
-    ASSERT_EQ(clocked.winner, want.winner) << "trial " << trial;
-    ASSERT_EQ(clocked.exhausted, want.exhausted) << "trial " << trial;
-    ASSERT_EQ(clocked_budget, want.left) << "trial " << trial;
-    ASSERT_EQ(clocked.probes, want.probes) << "trial " << trial;
-    ASSERT_FALSE(clocked.expired) << "trial " << trial;
   }
   // The sweep must reach both a winner and an exhausted budget.
   EXPECT_GT(winners, 50);

@@ -180,7 +180,6 @@ void expect_states_equal(const ClusterState& a, const ClusterState& b) {
     for (int i = 0; i < t.l2_per_tree(); ++i) {
       ASSERT_EQ(a.free_l2_up(tr, i), b.free_l2_up(tr, i));
       ASSERT_EQ(a.healthy_l2_up(tr, i), b.healthy_l2_up(tr, i));
-      ASSERT_EQ(a.free_l2_up_count(tr, i), b.free_l2_up_count(tr, i));
       for (const double demand : {0.5, 1.0, 2.0}) {
         ASSERT_EQ(a.l2_up_with_bandwidth(tr, i, demand),
                   b.l2_up_with_bandwidth(tr, i, demand));

@@ -6,8 +6,7 @@
 //  * the galloped prefix is the linear-scan minimal prefix, on random
 //    monotone predicates and on the real ladder over churned states;
 //  * a memo skip implies allocate() fails at that point of the pass;
-//  * a failure the step budget or the deadline cut short is never
-//    remembered.
+//  * a failure the step budget cut short is never remembered.
 
 #include <gtest/gtest.h>
 
@@ -269,11 +268,10 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, BackfillMemo,
                                            Scheme::kLcs));
 
 /// Baseline placement, except that the one job `flaky` fails as a
-/// search the step budget (or the deadline) cut short would.
+/// search the step budget cut short would.
 class InconclusiveOnce final : public Allocator {
  public:
-  InconclusiveOnce(JobId flaky, bool deadline)
-      : flaky_(flaky), deadline_(deadline) {}
+  explicit InconclusiveOnce(JobId flaky) : flaky_(flaky) {}
   std::string name() const override { return "inconclusive-once"; }
   bool isolating() const override { return false; }
   using Allocator::allocate;
@@ -282,10 +280,7 @@ class InconclusiveOnce final : public Allocator {
                                      const AllocBudget& budget,
                                      SearchStats* stats) const override {
     if (request.id == flaky_) {
-      if (stats != nullptr) {
-        (deadline_ ? stats->deadline_expired : stats->budget_exhausted) =
-            true;
-      }
+      if (stats != nullptr) stats->budget_exhausted = true;
       return std::nullopt;
     }
     return baseline_.allocate(state, request, budget, stats);
@@ -294,33 +289,29 @@ class InconclusiveOnce final : public Allocator {
  private:
   BaselineAllocator baseline_;
   JobId flaky_;
-  bool deadline_;
 };
 
 TEST(BackfillMemoRule, CutShortFailuresAreNotRemembered) {
   const FatTree t(4, 4, 4);  // 64 nodes
-  for (const bool deadline : {false, true}) {
-    SCOPED_TRACE(deadline ? "deadline" : "budget");
-    const InconclusiveOnce allocator(/*flaky=*/2, deadline);
-    ClusterState state(t);
-    std::vector<RunningJob> running;
-    const BaselineAllocator baseline;
-    auto busy = baseline.allocate(state, JobRequest{0, 56, 0.0});
-    ASSERT_TRUE(busy.has_value());
-    state.apply(*busy);
-    running.push_back(RunningJob{0, 100.0, *busy});
-    // Head 1 waits for job 0; jobs 2 and 3 share a key. Job 2's search
-    // is cut short, which proves nothing about job 3.
-    const std::deque<PendingJob> queue{PendingJob{1, 60, 0.0, 10.0},
-                                       PendingJob{2, 4, 0.0, 10.0},
-                                       PendingJob{3, 4, 0.0, 10.0}};
-    const EasyScheduler sched(allocator, 10);
-    EasyScheduler::PassStats stats;
-    const auto decisions = sched.schedule(0.0, state, queue, running, &stats);
-    ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].pending_index, 2u);
-    EXPECT_EQ(stats.backfill_memo_skips, 0u);
-  }
+  const InconclusiveOnce allocator(/*flaky=*/2);
+  ClusterState state(t);
+  std::vector<RunningJob> running;
+  const BaselineAllocator baseline;
+  auto busy = baseline.allocate(state, JobRequest{0, 56, 0.0});
+  ASSERT_TRUE(busy.has_value());
+  state.apply(*busy);
+  running.push_back(RunningJob{0, 100.0, *busy});
+  // Head 1 waits for job 0; jobs 2 and 3 share a key. Job 2's search
+  // is cut short, which proves nothing about job 3.
+  const std::deque<PendingJob> queue{PendingJob{1, 60, 0.0, 10.0},
+                                     PendingJob{2, 4, 0.0, 10.0},
+                                     PendingJob{3, 4, 0.0, 10.0}};
+  const EasyScheduler sched(allocator, 10);
+  EasyScheduler::PassStats stats;
+  const auto decisions = sched.schedule(0.0, state, queue, running, &stats);
+  ASSERT_EQ(decisions.size(), 1u);
+  EXPECT_EQ(decisions[0].pending_index, 2u);
+  EXPECT_EQ(stats.backfill_memo_skips, 0u);
 }
 
 TEST(BackfillMemoRule, DefinitiveFailureSkipsTheSameKeyOnly) {

@@ -140,8 +140,8 @@ TEST_P(SearchScreens, TwoLevelScanMatchesEveryPairReference) {
 
           std::uint64_t budget = budget0;
           TwoLevelPick pick;
-          const CandidateScan r = scan_two_level(s, *view, shapes, order,
-                                                 budget, nullptr, &pick);
+          const CandidateScan r =
+              scan_two_level(s, *view, shapes, order, budget, &pick);
           screened_probes += r.probes;
           ASSERT_EQ(r.winner, ref_winner);
           EXPECT_EQ(r.exhausted, ref_exhausted);
@@ -181,16 +181,15 @@ TEST_P(SearchScreens, ThreeLevelScanMatchesUnscreenedReference) {
         std::uint64_t ref_budget = kBudget;
         ThreeLevelPick ref_pick;
         const CandidateScan ref = scan_first_feasible(
-            shapes.size(), ref_budget, nullptr,
-            [&](std::size_t pos, std::uint64_t& b, const AnytimeClock* c) {
+            shapes.size(), ref_budget, [&](std::size_t pos, std::uint64_t& b) {
               return find_three_level_full_leaves(s, *view, shapes[pos], b,
-                                                  &ref_pick, c);
+                                                  &ref_pick);
             });
 
         std::uint64_t budget = kBudget;
         ThreeLevelPick pick;
-        const CandidateScan r = scan_three_level_full_leaves(
-            s, *view, shapes, budget, nullptr, &pick);
+        const CandidateScan r =
+            scan_three_level_full_leaves(s, *view, shapes, budget, &pick);
         ASSERT_EQ(r.winner, ref.winner);
         EXPECT_LE(kBudget - budget, kBudget - ref_budget);
         EXPECT_LE(r.probes, ref.probes);

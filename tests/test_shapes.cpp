@@ -101,5 +101,46 @@ TEST(Shapes, InvalidSizeThrows) {
   EXPECT_THROW(three_level_shapes(-1, t, true), std::invalid_argument);
 }
 
+/// Along two_level_shapes the leaves touched never decrease; along the
+/// whole-leaf three_level_shapes every shape touches ceil(n / m1) leaves
+/// and the subtrees touched never decrease. A first-feasible scan in
+/// these orders therefore commits the best-fitting feasible shape, with
+/// no reordering.
+void expect_best_fit_first(const FatTree& topo) {
+  const int m1 = topo.nodes_per_leaf();
+  for (int n = 1; n <= topo.total_nodes(); ++n) {
+    const auto s2 = two_level_shapes(n, topo);
+    for (std::size_t i = 1; i < s2.size(); ++i) {
+      ASSERT_LE(s2[i - 1].leaves_touched(), s2[i].leaves_touched())
+          << "two-level " << topo.describe() << " n=" << n << " i=" << i;
+    }
+    const auto s3 = three_level_shapes(n, topo, true);
+    for (std::size_t i = 0; i < s3.size(); ++i) {
+      const ThreeLevelShape& s = s3[i];
+      const int leaves = s.full_trees * s.leaves_per_tree +
+                         s.rem_full_leaves + (s.rem_leaf_nodes > 0 ? 1 : 0);
+      ASSERT_EQ(leaves, (n + m1 - 1) / m1)
+          << "three-level " << topo.describe() << " n=" << n << " i=" << i;
+      if (i > 0) {
+        ASSERT_LE(s3[i - 1].trees_touched(), s.trees_touched())
+            << "three-level " << topo.describe() << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(Shapes, CanonicalOrdersAreBestFitFirst) {
+  for (int m1 = 1; m1 <= 12; ++m1) {
+    for (int m2 = 1; m2 <= 12; ++m2) {
+      for (const int m3 : {1, 2, 3, 5, 8}) {
+        expect_best_fit_first(FatTree(m1, m2, m3));
+      }
+    }
+  }
+  for (const int radix : {16, 18, 28}) {
+    expect_best_fit_first(FatTree::from_radix(radix));
+  }
+}
+
 }  // namespace
 }  // namespace jigsaw

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <sstream>
+#include <string>
 
 #include "core/baseline.hpp"
 #include "core/jigsaw_allocator.hpp"
 #include "core/laas.hpp"
+#include "core/lc.hpp"
+#include "core/ta.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "trace/synthetic.hpp"
 
 namespace jigsaw {
 namespace {
@@ -268,6 +274,36 @@ TEST(Simulator, OversizeJobThrows) {
   normalize(trace);
   EXPECT_THROW(simulate(t, baseline, trace, SimConfig{}),
                std::invalid_argument);
+}
+
+// No placement decision reads the wall clock: whatever
+// SimConfig::alloc_deadline_us holds, every scheme makes the same
+// decisions, down to the bits of its metrics and its search counts.
+TEST(Simulator, AllocDeadlineChangesNoDecision) {
+  Trace trace = named_synthetic("Synth-16", 300);
+  Rng rng(0xBADC0FFEEULL);
+  assign_bandwidth_classes(trace, rng);
+  const FatTree topo = FatTree::from_radix(16);
+  const BaselineAllocator baseline;
+  const JigsawAllocator jigsaw;
+  const LaasAllocator laas;
+  const TaAllocator ta;
+  const LeastConstrainedAllocator lc(false);
+  const LeastConstrainedAllocator lcs(true);
+  for (const Allocator* alloc : std::initializer_list<const Allocator*>{
+           &baseline, &jigsaw, &laas, &ta, &lc, &lcs}) {
+    const SimMetrics want = simulate(topo, *alloc, trace, SimConfig{});
+    for (const std::int64_t us : {std::int64_t{1}, std::int64_t{100000}}) {
+      SCOPED_TRACE(alloc->name() + " at " + std::to_string(us) + " us");
+      SimConfig config;
+      config.alloc_deadline_us = us;
+      const SimMetrics got = simulate(topo, *alloc, trace, config);
+      EXPECT_EQ(got.steady_utilization, want.steady_utilization);
+      EXPECT_EQ(got.makespan, want.makespan);
+      EXPECT_EQ(got.allocate_calls, want.allocate_calls);
+      EXPECT_EQ(got.search_steps, want.search_steps);
+    }
+  }
 }
 
 }  // namespace
