@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Crash-recovery smoke test for the online scheduler service.
 #
-# Runs the same trace twice through jigsaw_daemon in virtual-clock mode:
-# once uninterrupted (the reference), once with the daemon killed -9 in
-# the middle of the drain and restarted with --recover. Asserts that
+# Runs the same trace twice through jigsaw_daemon in virtual-clock mode,
+# each time followed by the same cancel, fail and repair, so the log holds
+# every input record type: once uninterrupted (the reference), once with
+# the daemon killed -9 in the middle of the drain and restarted with
+# --recover. Asserts that
 #
 #   1. the restarted daemon reports a successful recovery audit and that
 #      the interrupted drain resumed to completion, and
@@ -139,10 +141,23 @@ print(f"group commit: {syncs} WAL fsyncs for {inputs} acked inputs "
 EOF
 }
 
+# send_inputs: the cancel, fail and repair that follow the trace in both
+# the reference and the crash run. Every job is still queued (the virtual
+# clock stands still until the drain), and the leaf-switch failure at
+# t=500 kills running jobs.
+SENT_INPUTS=3
+send_inputs() {
+  local c="$CLIENT --connect unix:$SOCK"
+  $c --op cancel --job 7 > /dev/null
+  $c --op fail --target "leafswitch 2" --time 500 > /dev/null
+  $c --op repair --target "leafswitch 2" --time 2000 > /dev/null
+}
+
 # ---- 1. reference: uninterrupted run ----------------------------------------
 echo "== reference run ($JOBS jobs) =="
 start_daemon
 "$CLIENT" --connect "unix:$SOCK" --op submit-trace --jobs "$JOBS" > /dev/null
+send_inputs
 "$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/reference_drain.json"
 stop_daemon
 
@@ -151,8 +166,9 @@ echo "== crash run: kill -9 mid-drain =="
 # step-delay widens the drain so the kill reliably lands inside it.
 start_daemon --wal "$WORK/run.wal" --step-delay-us 2000
 "$CLIENT" --connect "unix:$SOCK" --op submit-trace --jobs "$JOBS" > /dev/null
+send_inputs
 "$CLIENT" --connect "unix:$SOCK" --op stats > "$WORK/run_stats.json"
-check_fsyncs "$WORK/run_stats.json" "$JOBS"
+check_fsyncs "$WORK/run_stats.json" "$((JOBS + SENT_INPUTS))"
 PRE_DRAIN=$(wal_bytes "$WORK/run.wal")
 "$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/run_drain.json" 2>&1 &
 DRAIN_PID=$!
@@ -327,13 +343,14 @@ rm -f "$SOCK"
 start_daemon --wal "$WORK/snap.wal" --snapshot-every 100 \
   --step-delay-us 2000
 "$CLIENT" --connect "unix:$SOCK" --op submit-trace --jobs "$JOBS" > /dev/null
+send_inputs  # the reference's inputs: its metrics are the yardstick below
 "$CLIENT" --connect "unix:$SOCK" --op stats > "$WORK/snap_stats.json"
 grep -q '"snapshots":0' "$WORK/snap_stats.json" && {
   echo "no compaction happened before the crash:" >&2
   cat "$WORK/snap_stats.json" >&2
   exit 1
 }
-check_fsyncs "$WORK/snap_stats.json" "$JOBS"
+check_fsyncs "$WORK/snap_stats.json" "$((JOBS + SENT_INPUTS))"
 PRE_DRAIN=$(wal_bytes "$WORK/snap.wal")
 "$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/snap_crash_drain.json" \
   2>&1 &
@@ -348,11 +365,11 @@ grep -q "snapshot epoch" "$WORK/daemon.log" || {
   exit 1
 }
 "$CLIENT" --connect "unix:$SOCK" --op stats > "$WORK/snap_recover_stats.json"
-python3 - "$WORK/snap_recover_stats.json" "$JOBS" <<'EOF'
+python3 - "$WORK/snap_recover_stats.json" "$((JOBS + SENT_INPUTS))" <<'EOF'
 import json, sys
 doc = json.loads(open(sys.argv[1]).read().splitlines()[-1])
 doc = doc.get("stats", doc)
-jobs = int(sys.argv[2])
+inputs = int(sys.argv[2])
 assert doc.get("recovery_audit_ok") is True, f"audit failed: {doc}"
 assert doc.get("recovery_used_snapshot") is True, \
     f"recovery ignored the snapshot: {doc}"
@@ -362,9 +379,9 @@ assert doc.get("recovery_snapshot_fallback") is False, \
 # cadence is 100, so the tail holds < 100 inputs + the drain marker —
 # never the whole history.
 replayed = doc["recovery_inputs_replayed"]
-assert replayed <= 101, f"tail replay too large: {replayed} of {jobs}"
+assert replayed <= 101, f"tail replay too large: {replayed} of {inputs}"
 print(f"snapshot recovery replayed {replayed} tail inputs "
-      f"(of {jobs + 1} logged), epoch {doc['recovery_snapshot_epoch']}")
+      f"(of {inputs + 1} logged), epoch {doc['recovery_snapshot_epoch']}")
 EOF
 "$CLIENT" --connect "unix:$SOCK" --op drain > "$WORK/snap_drain.json"
 stop_daemon

@@ -30,6 +30,7 @@
 
 #include "topology/fat_tree.hpp"
 #include "topology/ids.hpp"
+#include "util/binio.hpp"
 
 namespace jigsaw::fault {
 
@@ -68,6 +69,17 @@ struct FaultEvent {
   double time = 0.0;
   bool failure = true;  ///< false = repair
   FaultTarget target;
+};
+
+/// FaultEvent's field list (util/binio.hpp), shared by the engine
+/// snapshot blob's pending faults and the WAL's fault records.
+inline constexpr auto event_fields = [](auto& io, auto& fe) {
+  io.f64(fe.time);
+  io.flag(fe.failure);
+  io.enum8(fe.target.kind, ResourceKind::kSpine);
+  io.u32(fe.target.a);
+  io.u32(fe.target.b);
+  io.u32(fe.target.c);
 };
 
 struct FailureSchedule {

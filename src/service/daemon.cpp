@@ -43,21 +43,23 @@ void append_kv(std::string& out, const char* key, const std::string& v) {
   out += '"';
 }
 
-/// Little-endian field encodings for the placement digest: explicit bytes,
-/// never struct memory (padding would poison the crc).
-void put32(std::string& buf, std::uint32_t v) {
-  for (int k = 0; k < 4; ++k) buf.push_back(static_cast<char>(v >> (8 * k)));
+/// A grant as the WAL logs it and the recovery audit compares it.
+GrantRecord grant_record(double now, const Allocation& alloc) {
+  std::string placement;
+  BufWriter w(placement);
+  allocation_fields(w, alloc);
+  return {alloc.job, now, alloc.allocated_nodes(),
+          crc32(placement.data(), placement.size())};
 }
 
-void put64(std::string& buf, std::uint64_t v) {
-  for (int k = 0; k < 8; ++k) buf.push_back(static_cast<char>(v >> (8 * k)));
-}
-
-bool read_number(const JsonValue& obj, const char* key, double* out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return false;
-  *out = v->as_double();
-  return true;
+/// Read `rec`'s payload as a Record, or throw.
+template <typename Record>
+Record decoded(const WalRecord& rec) {
+  Record out;
+  if (!read_payload(rec.payload, &out)) {
+    throw std::invalid_argument("malformed payload");
+  }
+  return out;
 }
 
 }  // namespace
@@ -98,29 +100,6 @@ void ServiceDaemon::emit(const char* name, JobId job) {
   config_.obs.emit(e);
 }
 
-ServiceDaemon::GrantFact ServiceDaemon::grant_fact(double now,
-                                                   const Allocation& alloc) {
-  GrantFact f;
-  f.job = alloc.job;
-  append_double(f.time, now);
-  f.nodes = alloc.allocated_nodes();
-  std::string buf;
-  put64(buf, static_cast<std::uint64_t>(alloc.job));
-  put32(buf, static_cast<std::uint32_t>(alloc.requested_nodes));
-  for (const NodeId n : alloc.nodes) put32(buf, static_cast<std::uint32_t>(n));
-  for (const LeafWire& w : alloc.leaf_wires) {
-    put32(buf, static_cast<std::uint32_t>(w.leaf));
-    put32(buf, static_cast<std::uint32_t>(w.l2_index));
-  }
-  for (const L2Wire& w : alloc.l2_wires) {
-    put32(buf, static_cast<std::uint32_t>(w.tree));
-    put32(buf, static_cast<std::uint32_t>(w.l2_index));
-    put32(buf, static_cast<std::uint32_t>(w.spine_index));
-  }
-  f.digest = crc32(buf.data(), buf.size());
-  return f;
-}
-
 void ServiceDaemon::install_live_hooks() {
   engine_->set_grant_hook([this](double now, const Allocation& alloc) {
     on_grant(now, alloc);
@@ -146,11 +125,46 @@ void ServiceDaemon::reset_recovery_state() {
   recovery_.saw_drain = false;
 }
 
+template <typename Record>
+bool ServiceDaemon::wal_append(const Record& rec, std::string* error) {
+  if (options_.wal_path.empty()) return true;
+  if (!wal_.is_open()) {
+    // A snapshot rotation retired the segment but could not open the next
+    // one: refuse the input rather than ack it unlogged.
+    *error = "no open WAL segment after a failed rotation";
+    return false;
+  }
+  const std::string payload = wal_payload(rec);
+  {
+    obs::ScopedTimer timer(wal_append_seconds_, wal_append_seconds_ != nullptr);
+    if (!wal_.append(Record::kType, payload, error)) return false;
+  }
+  // Grants and releases ride along with the next input's sync: recovery
+  // re-derives them, so losing the unsynced tail of them loses nothing.
+  if (!kWalInput<Record>) return true;
+  input_unsynced_ = true;
+  // An input is durable before the engine applies it, unless the caller
+  // holds the reply for its own commit() (group commit).
+  return defer_sync_ || commit(error);
+}
+
+template <typename Record>
+std::optional<std::string> ServiceDaemon::log_and_apply(
+    const Record& rec, const std::string& seq) {
+  std::string error;
+  if (!wal_append(rec, &error)) {
+    return error_reply(ErrorCode::kInternal, "WAL append failed: " + error,
+                       seq);
+  }
+  apply(rec);
+  return std::nullopt;
+}
+
 void ServiceDaemon::on_grant(double now, const Allocation& alloc) {
   ++grants_;
-  const GrantFact f = grant_fact(now, alloc);
+  const GrantRecord grant = grant_record(now, alloc);
   if (recovering_) {
-    derived_grants_.push_back(f);
+    derived_grants_.push_back(wal_payload(grant));
     return;
   }
   const auto it = submit_wall_.find(alloc.job);
@@ -163,18 +177,14 @@ void ServiceDaemon::on_grant(double now, const Allocation& alloc) {
     submit_wall_.erase(it);
   }
   if (wal_.is_open()) {
-    std::string payload = "{\"job\":" + std::to_string(f.job) + ",\"time\":";
-    payload += f.time;
-    payload += ",\"nodes\":" + std::to_string(f.nodes);
-    payload += ",\"digest\":" + std::to_string(f.digest) + "}";
     std::string error;
-    wal_append(WalRecordType::kGrant, payload, &error);
+    wal_append(grant, &error);
   }
   if (config_.obs.tracing()) {
     obs::TraceEvent e =
         obs::instant("service", "service.grant", now)
             .arg("job", static_cast<std::int64_t>(alloc.job))
-            .arg("nodes", static_cast<std::int64_t>(f.nodes));
+            .arg("nodes", static_cast<std::int64_t>(grant.nodes));
     const auto cit = corr_.find(alloc.job);
     if (cit != corr_.end()) {
       e.arg("corr", static_cast<std::int64_t>(cit->second));
@@ -187,13 +197,8 @@ void ServiceDaemon::on_release(double now, JobId job, bool completed) {
   ++releases_;
   if (recovering_) return;
   if (wal_.is_open()) {
-    std::string payload = "{\"job\":" + std::to_string(job) + ",\"time\":";
-    append_double(payload, now);
-    payload += ",\"completed\":";
-    payload += completed ? "true" : "false";
-    payload += "}";
     std::string error;
-    wal_append(WalRecordType::kRelease, payload, &error);
+    wal_append(ReleaseRecord{job, now}, &error);
   }
   if (config_.obs.tracing()) {
     obs::TraceEvent e =
@@ -206,28 +211,6 @@ void ServiceDaemon::on_release(double now, JobId job, bool completed) {
     }
     config_.obs.emit(e);
   }
-}
-
-bool ServiceDaemon::wal_append(WalRecordType type, const std::string& payload,
-                               std::string* error) {
-  if (options_.wal_path.empty()) return true;
-  if (!wal_.is_open()) {
-    // A snapshot rotation retired the segment but could not open the next
-    // one: refuse the input rather than ack it unlogged.
-    *error = "no open WAL segment after a failed rotation";
-    return false;
-  }
-  {
-    obs::ScopedTimer timer(wal_append_seconds_, wal_append_seconds_ != nullptr);
-    if (!wal_.append(type, payload, error)) return false;
-  }
-  // Grants and releases ride along with the next input's sync: recovery
-  // re-derives them, so losing the unsynced tail of them loses nothing.
-  if (!wal_is_input(type)) return true;
-  input_unsynced_ = true;
-  // An input is durable before the engine applies it, unless the caller
-  // holds the reply for its own commit() (group commit).
-  return defer_sync_ || commit(error);
 }
 
 bool ServiceDaemon::sync_wal(std::string* error) {
@@ -273,7 +256,8 @@ bool ServiceDaemon::init(std::string* error) {
     recovery_.records = log.records.size();
     recovery_.dropped_bytes = log.file_bytes - log.valid_bytes;
     if (log.file_bytes > 0 && !log.header_ok) {
-      recovery_.error = "WAL header corrupt: " + options_.wal_path;
+      recovery_.error =
+          "cannot recover " + options_.wal_path + ": " + log.tail_error;
       *error = recovery_.error;
       return false;
     }
@@ -311,7 +295,7 @@ bool ServiceDaemon::init(std::string* error) {
 bool ServiceDaemon::recover_from_wal(const WalReadResult& log,
                                      std::string* error) {
   recovering_ = true;
-  std::vector<GrantFact> logged;
+  std::vector<std::string> logged;  ///< grant payloads, in log order
   double horizon = 0.0;
   double resume = 0.0;
   bool ok = true;
@@ -324,15 +308,12 @@ bool ServiceDaemon::recover_from_wal(const WalReadResult& log,
     if (records.empty() || records[0].type != WalRecordType::kSnapshot) {
       return true;
     }
-    JsonValue payload;
-    std::string parse_error;
-    double epoch = 0.0;
-    if (!parse_json(records[0].payload, &payload, &parse_error) ||
-        !read_number(payload, "epoch", &epoch) || epoch < 1.0) {
+    SnapshotMarker marker;
+    if (!read_payload(records[0].payload, &marker) || marker.epoch < 1) {
       *error = "WAL snapshot marker has malformed payload";
       return false;
     }
-    *out = static_cast<std::uint64_t>(epoch);
+    *out = marker.epoch;
     return true;
   };
 
@@ -446,9 +427,7 @@ bool ServiceDaemon::recover_from_wal(const WalReadResult& log,
     }
   }
 
-  if (ok && recovery_.saw_drain) {
-    ok = run_drain(error);
-  } else if (ok && horizon > 0.0) {
+  if (ok && !drained() && horizon > 0.0) {
     // Wall-mode log: re-advance to the last audited grant/release so the
     // recovered engine resumes from the pre-crash point.
     engine_->advance_until(horizon);
@@ -458,7 +437,8 @@ bool ServiceDaemon::recover_from_wal(const WalReadResult& log,
   recovery_.grants_logged = logged.size();
   recovery_.grants_derived = derived_grants_.size();
   if (ok) {
-    // Deterministic replay must re-derive every logged grant, in order.
+    // Deterministic replay must re-derive every logged grant, in order and
+    // byte for byte (the grant time bit for bit).
     recovery_.audit_ok = logged.size() <= derived_grants_.size() &&
                          std::equal(logged.begin(), logged.end(),
                                     derived_grants_.begin());
@@ -476,142 +456,56 @@ bool ServiceDaemon::recover_from_wal(const WalReadResult& log,
   derived_grants_.clear();
   derived_grants_.shrink_to_fit();
   if (ok && need_marker && wal_.is_open()) {
-    std::string payload =
-        "{\"epoch\":" + std::to_string(snapshot_epoch_) + "}";
-    if (!wal_.append(WalRecordType::kSnapshot, payload, error)) return false;
-    if (!sync_wal(error)) return false;
+    if (!wal_.append(SnapshotMarker::kType,
+                     wal_payload(SnapshotMarker{snapshot_epoch_}), error) ||
+        !sync_wal(error)) {
+      return false;
+    }
   }
   return ok;
 }
 
 bool ServiceDaemon::replay_records(const std::vector<WalRecord>& records,
                                    std::size_t first,
-                                   std::vector<GrantFact>* logged,
+                                   std::vector<std::string>* logged,
                                    double* horizon, double* resume,
                                    std::string* error) {
-  bool ok = true;
   // Wall-mode inputs took effect against the event stream advanced to
   // their accept clock; re-advancing before each one reproduces that
   // interleaving (a cancel must see the same queue it saw live). The
   // accept clocks are nondecreasing in log order, so each advance is a
   // forward (or no-op) move. Virtual-mode logs never advanced outside
   // drain, so their inputs apply against the unstepped engine.
-  const auto advance_to_accept = [&](double accept) {
-    *resume = std::max(*resume, accept);
-    if (options_.clock == ClockMode::kWall) engine_->advance_until(accept);
+  const auto replay_input = [&](const auto& input) {
+    *resume = std::max(*resume, input.accept);
+    if (options_.clock == ClockMode::kWall) engine_->advance_until(input.accept);
+    apply(input);
+    ++recovery_.inputs_replayed;
   };
   for (std::size_t ri = first; ri < records.size(); ++ri) {
     const WalRecord& rec = records[ri];
-    if (!ok) break;
-    JsonValue payload;
-    std::string parse_error;
-    if (!parse_json(rec.payload, &payload, &parse_error)) {
-      *error = std::string("WAL record ") + wal_record_type_name(rec.type) +
-               " at offset " + std::to_string(rec.offset) +
-               " has malformed payload: " + parse_error;
-      ok = false;
-      break;
-    }
     try {
       switch (rec.type) {
-        case WalRecordType::kSubmit: {
-          Job job;
-          double id = 0.0;
-          double nodes = 0.0;
-          double accept = 0.0;
-          if (!read_number(payload, "id", &id) ||
-              !read_number(payload, "arrival", &job.arrival) ||
-              !read_number(payload, "nodes", &nodes) ||
-              !read_number(payload, "runtime", &job.runtime) ||
-              !read_number(payload, "bandwidth", &job.bandwidth)) {
-            throw std::invalid_argument("missing submit field");
-          }
-          if (read_number(payload, "now", &accept)) advance_to_accept(accept);
-          job.id = static_cast<JobId>(id);
-          job.nodes = static_cast<int>(nodes);
-          engine_->submit(job);
-          ++inputs_since_snapshot_;
-          next_job_id_ = std::max(next_job_id_, job.id + 1);
-          double corr = 0.0;
-          if (read_number(payload, "corr", &corr) && corr >= 1.0) {
-            // Restore the correlation id the live daemon acked, and bump
-            // the counter past it so post-recovery submits never reuse one.
-            corr_[job.id] = static_cast<std::uint64_t>(corr);
-            next_corr_ =
-                std::max(next_corr_, static_cast<std::uint64_t>(corr) + 1);
-          }
-          ++recovery_.inputs_replayed;
+        case WalRecordType::kSubmit:
+          replay_input(decoded<SubmitRecord>(rec));
           break;
-        }
-        case WalRecordType::kCancel: {
-          double job = 0.0;
-          double accept = 0.0;
-          if (!read_number(payload, "job", &job)) {
-            throw std::invalid_argument("missing cancel field");
-          }
-          if (read_number(payload, "time", &accept)) {
-            advance_to_accept(accept);
-          }
-          if (!engine_->cancel(static_cast<JobId>(job))) {
-            throw std::invalid_argument("cancel replay hit a non-queued job");
-          }
-          ++inputs_since_snapshot_;
-          ++recovery_.inputs_replayed;
+        case WalRecordType::kCancel:
+          replay_input(decoded<CancelRecord>(rec));
           break;
-        }
-        case WalRecordType::kFault: {
-          double time = 0.0;
-          double accept = 0.0;
-          const JsonValue* failure = payload.find("failure");
-          const JsonValue* target_text = payload.find("target");
-          if (!read_number(payload, "time", &time) || failure == nullptr ||
-              !failure->is_bool() || target_text == nullptr ||
-              !target_text->is_string()) {
-            throw std::invalid_argument("missing fault field");
-          }
-          std::istringstream words(target_text->as_string());
-          fault::FaultTarget target;
-          std::string target_error;
-          if (!fault::parse_target(words, &target, &target_error)) {
-            throw std::invalid_argument("bad fault target: " + target_error);
-          }
-          if (read_number(payload, "now", &accept)) advance_to_accept(accept);
-          engine_->add_fault(time, failure->as_bool(), target);
-          ++inputs_since_snapshot_;
-          ++recovery_.inputs_replayed;
+        case WalRecordType::kFault:
+          replay_input(decoded<FaultRecord>(rec));
           break;
-        }
         case WalRecordType::kDrain:
           recovery_.saw_drain = true;
-          ++recovery_.inputs_replayed;
+          replay_input(decoded<DrainRecord>(rec));
           break;
-        case WalRecordType::kGrant: {
-          GrantFact f;
-          double job = 0.0;
-          double time = 0.0;
-          double nodes = 0.0;
-          double digest = 0.0;
-          if (!read_number(payload, "job", &job) ||
-              !read_number(payload, "time", &time) ||
-              !read_number(payload, "nodes", &nodes) ||
-              !read_number(payload, "digest", &digest)) {
-            throw std::invalid_argument("missing grant field");
-          }
-          f.job = static_cast<JobId>(job);
-          append_double(f.time, time);
-          f.nodes = static_cast<int>(nodes);
-          f.digest = static_cast<std::uint32_t>(digest);
-          logged->push_back(std::move(f));
-          *horizon = std::max(*horizon, time);
+        case WalRecordType::kGrant:
+          *horizon = std::max(*horizon, decoded<GrantRecord>(rec).time);
+          logged->push_back(rec.payload);
           break;
-        }
-        case WalRecordType::kRelease: {
-          double time = 0.0;
-          if (read_number(payload, "time", &time)) {
-            *horizon = std::max(*horizon, time);
-          }
+        case WalRecordType::kRelease:
+          *horizon = std::max(*horizon, decoded<ReleaseRecord>(rec).time);
           break;
-        }
         case WalRecordType::kSnapshot:
           // Markers only ever lead a segment (a fresh file is created for
           // each rotation); one mid-stream means the log was spliced.
@@ -622,10 +516,45 @@ bool ServiceDaemon::replay_records(const std::vector<WalRecord>& records,
       *error = std::string("WAL replay failed at ") +
                wal_record_type_name(rec.type) + " record, offset " +
                std::to_string(rec.offset) + ": " + e.what();
-      ok = false;
+      return false;
     }
   }
-  return ok;
+  return true;
+}
+
+void ServiceDaemon::apply(const SubmitRecord& r) {
+  // Live submits never carry an id outside the protocol's range; one in a
+  // log is damage (and would overflow next_job_id_ below).
+  if (r.job.id < 0 || r.job.id > kMaxJobId) {
+    throw std::invalid_argument("job id outside the protocol's range");
+  }
+  engine_->submit(r.job);
+  next_job_id_ = std::max(next_job_id_, r.job.id + 1);
+  // Bump the counter past the logged id so no later submit reuses one.
+  next_corr_ = std::max(next_corr_, r.corr + 1);
+  corr_[r.job.id] = r.corr;
+  ++inputs_since_snapshot_;
+}
+
+void ServiceDaemon::apply(const CancelRecord& r) {
+  if (!engine_->cancel(r.job)) {
+    throw std::invalid_argument("cancel of job " + std::to_string(r.job) +
+                                ", which is not queued");
+  }
+  ++inputs_since_snapshot_;
+}
+
+void ServiceDaemon::apply(const FaultRecord& r) {
+  engine_->add_fault(r.event.time, r.event.failure, r.event.target);
+  ++inputs_since_snapshot_;
+}
+
+void ServiceDaemon::apply(const DrainRecord& /*r*/) {
+  // The drain record must be durable before the run starts: recovery
+  // after a mid-drain crash re-drains only if the record survived. (On
+  // replay nothing is unsynced, so the commit is a no-op.)
+  std::string error;
+  if (!commit(&error) || !run_drain(&error)) throw std::runtime_error(error);
 }
 
 bool ServiceDaemon::restore_from_snapshot(const SnapshotData& data,
@@ -692,11 +621,12 @@ bool ServiceDaemon::snapshot_now(std::string* error) {
     *error = "cannot rotate WAL to " + prev + ": " + std::strerror(errno);
     return false;
   }
-  if (!wal_.open(options_.wal_path, error)) return false;
-  const std::string marker =
-      "{\"epoch\":" + std::to_string(data.epoch) + "}";
-  if (!wal_.append(WalRecordType::kSnapshot, marker, error)) return false;
-  if (!sync_wal(error)) return false;
+  if (!wal_.open(options_.wal_path, error) ||
+      !wal_.append(SnapshotMarker::kType,
+                   wal_payload(SnapshotMarker{data.epoch}), error) ||
+      !sync_wal(error)) {
+    return false;
+  }
   if (data.epoch >= 2) {
     // Two-generation retention: epoch-1 backs the corruption fallback,
     // anything older is unreachable (best-effort unlink).
@@ -810,31 +740,37 @@ std::string ServiceDaemon::handle_line(const std::string& line) {
     return error_reply(failure.code, failure.message, failure.seq);
   }
   advance_wall();
-  switch (req.op) {
-    case RequestOp::kPing: {
-      std::string body;
-      append_kv(body, "time", engine_->now());
-      return ok_reply(body, req.seq);
+  try {
+    switch (req.op) {
+      case RequestOp::kPing: {
+        std::string body;
+        append_kv(body, "time", engine_->now());
+        return ok_reply(body, req.seq);
+      }
+      case RequestOp::kSubmit:
+        return handle_submit(req);
+      case RequestOp::kCancel:
+        return handle_cancel(req);
+      case RequestOp::kStatus:
+        return handle_status(req);
+      case RequestOp::kStats:
+        return handle_stats(req);
+      case RequestOp::kMetrics:
+        return handle_metrics(req);
+      case RequestOp::kFail:
+      case RequestOp::kRepair:
+        return handle_fault(req);
+      case RequestOp::kDrain:
+        return handle_drain(req);
+      case RequestOp::kSnapshot:
+        return handle_snapshot(req);
+      case RequestOp::kShutdown:
+        return handle_shutdown(req);
     }
-    case RequestOp::kSubmit:
-      return handle_submit(req);
-    case RequestOp::kCancel:
-      return handle_cancel(req);
-    case RequestOp::kStatus:
-      return handle_status(req);
-    case RequestOp::kStats:
-      return handle_stats(req);
-    case RequestOp::kMetrics:
-      return handle_metrics(req);
-    case RequestOp::kFail:
-    case RequestOp::kRepair:
-      return handle_fault(req);
-    case RequestOp::kDrain:
-      return handle_drain(req);
-    case RequestOp::kSnapshot:
-      return handle_snapshot(req);
-    case RequestOp::kShutdown:
-      return handle_shutdown(req);
+  } catch (const std::exception& e) {
+    // apply() refusing an input its handler validated (a bug), or a drain
+    // that did not finish: surface it rather than ack.
+    return error_reply(ErrorCode::kInternal, e.what(), req.seq);
   }
   return error_reply(ErrorCode::kInternal, "unhandled op", req.seq);
 }
@@ -858,12 +794,14 @@ std::string ServiceDaemon::handle_submit(const Request& req) {
                            std::to_string(options_.max_queue) + " active jobs)",
                        req.seq);
   }
-  Job job;
-  job.id = req.id.has_value() ? *req.id : next_job_id_;
+  SubmitRecord rec;
+  rec.accept = input_clock();
+  Job& job = rec.job;
+  job.id = req.id.value_or(next_job_id_);
   job.nodes = req.nodes;
   job.runtime = req.runtime;
   job.bandwidth = req.bandwidth;
-  job.arrival = req.arrival.has_value() ? *req.arrival : engine_->now();
+  job.arrival = req.arrival.value_or(engine_->now());
   // Pre-validate everything engine_->submit() would reject, then log
   // before applying: a request must never mutate the engine without its
   // WAL record (an unlogged admission makes every later grant unaudit-
@@ -874,10 +812,11 @@ std::string ServiceDaemon::handle_submit(const Request& req) {
   }
   if (job.id > kMaxJobId) {
     // The parser bounds a client's id, so this is an assigned one, the id
-    // after a client took kMaxJobId: replay would read it back wrong.
+    // after a client took kMaxJobId: no request could name it again.
     return error_reply(ErrorCode::kBadRequest,
                        "job id " + std::to_string(job.id) +
-                           " is past 2^53, the largest id the WAL replays",
+                           " is past 2^53, the largest id a JSON request "
+                           "carries exactly",
                        req.seq);
   }
   if (job.arrival < engine_->now()) {
@@ -887,43 +826,18 @@ std::string ServiceDaemon::handle_submit(const Request& req) {
   // The correlation id is minted before the WAL append so the same id
   // reaches the log, the ack, and every later grant/release event — one
   // handle to follow the submission across reactor, engine, and log.
-  const std::uint64_t corr = next_corr_;
-  std::string payload = "{\"id\":" + std::to_string(job.id) + ",\"arrival\":";
-  append_double(payload, job.arrival);
-  payload += ",\"nodes\":" + std::to_string(job.nodes) + ",\"runtime\":";
-  append_double(payload, job.runtime);
-  payload += ",\"bandwidth\":";
-  append_double(payload, job.bandwidth);
-  payload += ",\"now\":";
-  append_double(payload, input_clock());
-  payload += ",\"corr\":" + std::to_string(corr);
-  payload += "}";
-  std::string error;
-  if (!wal_append(WalRecordType::kSubmit, payload, &error)) {
-    return error_reply(ErrorCode::kInternal, "WAL append failed: " + error,
-                       req.seq);
-  }
-  try {
-    engine_->submit(job);
-  } catch (const std::exception& e) {
-    // Unreachable given the pre-validation above; surface rather than ack
-    // a submission the engine refused.
-    return error_reply(ErrorCode::kInternal, e.what(), req.seq);
-  }
-  next_job_id_ = std::max(next_job_id_, job.id + 1);
-  ++next_corr_;
-  corr_[job.id] = corr;
+  rec.corr = next_corr_;
+  if (auto refused = log_and_apply(rec, req.seq)) return *refused;
   submit_wall_[job.id] = wall_elapsed();
-  ++inputs_since_snapshot_;
   maybe_snapshot();
   if (config_.obs.tracing()) {
     config_.obs.emit(obs::instant("service", "service.submit", engine_->now())
                          .arg("job", static_cast<std::int64_t>(job.id))
-                         .arg("corr", static_cast<std::int64_t>(corr)));
+                         .arg("corr", static_cast<std::int64_t>(rec.corr)));
   }
   std::string body = ",\"job\":" + std::to_string(job.id);
   append_kv(body, "arrival", job.arrival);
-  append_kv(body, "corr", corr);
+  append_kv(body, "corr", rec.corr);
   return ok_reply(body, req.seq);
 }
 
@@ -948,22 +862,11 @@ std::string ServiceDaemon::handle_cancel(const Request& req) {
   // without its record would leave the job queued on replay and derail
   // every later audited grant. The record carries the accept clock so
   // wall-mode replay removes the job at the same event-stream point.
-  std::string payload = "{\"job\":" + std::to_string(req.job) + ",\"time\":";
-  append_double(payload, input_clock());
-  payload += "}";
-  std::string error;
-  if (!wal_append(WalRecordType::kCancel, payload, &error)) {
-    return error_reply(ErrorCode::kInternal, "WAL append failed: " + error,
-                       req.seq);
-  }
-  if (!engine_->cancel(req.job)) {
-    // Unreachable: the phase check above is cancel()'s success condition
-    // and nothing ran in between on this single thread.
-    return error_reply(ErrorCode::kInternal,
-                       "cancel refused for a queued job", req.seq);
+  if (auto refused = log_and_apply(CancelRecord{input_clock(), req.job},
+                                    req.seq)) {
+    return *refused;
   }
   submit_wall_.erase(req.job);
-  ++inputs_since_snapshot_;
   maybe_snapshot();
   emit("service.cancel", req.job);
   std::string body = ",\"job\":" + std::to_string(req.job);
@@ -1170,49 +1073,33 @@ std::string ServiceDaemon::handle_fault(const Request& req) {
     return error_reply(ErrorCode::kBadState, "daemon already drained",
                        req.seq);
   }
+  FaultRecord rec;
+  rec.accept = input_clock();
+  fault::FaultEvent& event = rec.event;
+  event.failure = req.op == RequestOp::kFail;
+  event.time = req.time.value_or(engine_->now());
   std::istringstream words(req.target);
-  fault::FaultTarget target;
-  std::string target_error;
-  if (!fault::parse_target(words, &target, &target_error)) {
-    return error_reply(ErrorCode::kBadRequest,
-                       "bad target: " + target_error, req.seq);
+  std::string error;
+  if (!fault::parse_target(words, &event.target, &error)) {
+    return error_reply(ErrorCode::kBadRequest, "bad target: " + error,
+                       req.seq);
   }
-  const std::string invalid = fault::validate(*topo_, target);
-  if (!invalid.empty()) {
-    return error_reply(ErrorCode::kBadRequest, invalid, req.seq);
+  error = fault::validate(*topo_, event.target);
+  if (!error.empty()) {
+    return error_reply(ErrorCode::kBadRequest, error, req.seq);
   }
-  const bool is_failure = req.op == RequestOp::kFail;
-  const double time = req.time.has_value() ? *req.time : engine_->now();
-  if (time < engine_->now()) {
+  if (event.time < engine_->now()) {
     return error_reply(ErrorCode::kBadRequest,
                        "fault event in the simulated past", req.seq);
   }
   // Append before applying (see handle_submit): there is no way to undo
   // an injected fault, so the engine must not see one the log missed.
-  std::string payload = "{\"time\":";
-  append_double(payload, time);
-  payload += ",\"failure\":";
-  payload += is_failure ? "true" : "false";
-  payload += ",\"target\":\"" + obs::json_escape(req.target) + "\",\"now\":";
-  append_double(payload, input_clock());
-  payload += "}";
-  std::string error;
-  if (!wal_append(WalRecordType::kFault, payload, &error)) {
-    return error_reply(ErrorCode::kInternal, "WAL append failed: " + error,
-                       req.seq);
-  }
-  try {
-    engine_->add_fault(time, is_failure, target);
-  } catch (const std::exception& e) {
-    // Unreachable given the validation above.
-    return error_reply(ErrorCode::kInternal, e.what(), req.seq);
-  }
-  ++inputs_since_snapshot_;
+  if (auto refused = log_and_apply(rec, req.seq)) return *refused;
   maybe_snapshot();
-  emit(is_failure ? "service.fail" : "service.repair");
+  emit(event.failure ? "service.fail" : "service.repair");
   std::string body;
-  append_kv(body, "target", fault::describe(target));
-  append_kv(body, "time", time);
+  append_kv(body, "target", fault::describe(event.target));
+  append_kv(body, "time", event.time);
   return ok_reply(body, req.seq);
 }
 
@@ -1222,15 +1109,8 @@ std::string ServiceDaemon::handle_drain(const Request& req) {
                        "drain applies to virtual-clock mode only", req.seq);
   }
   if (!drained()) {
-    std::string error;
-    if (!wal_append(WalRecordType::kDrain, "{}", &error)) {
-      return error_reply(ErrorCode::kInternal, "WAL append failed: " + error,
-                         req.seq);
-    }
-    // The drain marker must be durable before the run starts: recovery
-    // after a mid-drain crash re-drains only if the marker survived.
-    if (!commit(&error) || !run_drain(&error)) {
-      return error_reply(ErrorCode::kInternal, error, req.seq);
+    if (auto refused = log_and_apply(DrainRecord{input_clock()}, req.seq)) {
+      return *refused;
     }
   }
   return ok_reply(",\"metrics\":" + metrics_json(*final_metrics_), req.seq);

@@ -46,19 +46,20 @@
 // back to the previous generation: restore `<wal>.snap.<epoch-1>` and
 // replay the rotated-out `<wal>.prev` segment before the current tail
 // (or, when no older snapshot exists, replay both segments from
-// scratch). Every path ends in the same grant audit. Each input
-// record carries the engine clock at which it was accepted live ("now"
-// on kSubmit/kFault, "time" on kCancel); in wall mode replay advances
-// the engine to that clock before applying the input, so a cancel
-// removes its job at the same point in the event stream it did live —
-// the job's tenure in the wait queue (and its effect on EASY
-// reservation / backfill decisions) is reproduced exactly. Replay is
-// deterministic, so re-derived grants must reproduce the logged kGrant
-// records — recovery cross-checks job id, %.17g grant time, node count,
-// and a crc32 placement digest, requiring the log to be an exact prefix
-// of the re-derivation (RecoveryReport::audit_ok). A drain marker in the
-// log makes recovery finish the run and cache the final metrics, which is
-// how a killed daemon's run completes with bit-identical metrics after
+// scratch). Every path ends in the same grant audit. Replay decodes
+// each input record with its field list (service/wal.hpp) and applies it
+// through the apply() the live handler called after logging it. Each
+// input record carries the engine clock at which it was accepted live
+// (`accept`); in wall mode replay advances the engine to that clock
+// before applying the input, so a cancel removes its job at the same
+// point in the event stream it did live — the job's tenure in the wait
+// queue (and its effect on EASY reservation / backfill decisions) is
+// reproduced exactly. Replay is deterministic, so the grant records it
+// re-derives (job id, grant time, node count, crc32 placement digest)
+// must match the logged ones byte for byte, the log an exact prefix of
+// the re-derivation (RecoveryReport::audit_ok). A drain record makes
+// replay finish the run and cache the final metrics, which is how a
+// killed daemon's run completes with bit-identical metrics after
 // restart. Recovery appends nothing, so recovering twice is idempotent.
 // After a wall-mode recovery the wall epoch is shifted back by
 // RecoveryReport::resume_clock so wall_elapsed()*time_scale resumes at
@@ -214,16 +215,6 @@ class ServiceDaemon {
   }
 
  private:
-  /// Grant identity tuple logged to / audited against the WAL.
-  struct GrantFact {
-    JobId job = kNoJob;
-    std::string time;  ///< %.17g — compared textually, bit-exact
-    int nodes = 0;
-    std::uint32_t digest = 0;  ///< crc32 over the placement
-    friend bool operator==(const GrantFact&, const GrantFact&) = default;
-  };
-  static GrantFact grant_fact(double now, const Allocation& alloc);
-
   /// handle_line() for group commit: an input's fsync is left to the next
   /// commit(). The reactor holds the reply until commit() succeeds and
   /// drops it otherwise.
@@ -251,12 +242,21 @@ class ServiceDaemon {
 
   bool recover_from_wal(const WalReadResult& log, std::string* error);
   /// Replay one WAL segment's records starting at index `first`,
-  /// collecting logged grant facts and the grant/release horizon.
+  /// collecting logged grant payloads and the grant/release horizon.
   /// `resume` accumulates the max accept clock seen. A kSnapshot record
   /// anywhere past a segment head is corruption and fails the replay.
   bool replay_records(const std::vector<WalRecord>& records,
-                      std::size_t first, std::vector<GrantFact>* logged,
+                      std::size_t first, std::vector<std::string>* logged,
                       double* horizon, double* resume, std::string* error);
+  /// Apply one logged input: the one place each input changes the engine
+  /// and the counters it moves (next_job_id_, next_corr_, corr_,
+  /// inputs_since_snapshot_), for live handlers and replay alike. Throws
+  /// when the engine refuses the input (say, a fault target outside the
+  /// tree) or a drain does not finish.
+  void apply(const SubmitRecord& r);
+  void apply(const CancelRecord& r);
+  void apply(const FaultRecord& r);
+  void apply(const DrainRecord& r);
   /// Seed the daemon from one snapshot file: engine blob, id/corr
   /// counters, grant/release totals, wall target. On failure the engine
   /// may be half-written; the caller resets it before any fallback.
@@ -272,8 +272,15 @@ class ServiceDaemon {
   void install_live_hooks();
   void on_grant(double now, const Allocation& alloc);
   void on_release(double now, JobId job, bool completed);
-  bool wal_append(WalRecordType type, const std::string& payload,
-                  std::string* error);
+  /// Append `rec`'s payload; an input is also synced unless the caller
+  /// defers to commit(). A no-op without a WAL.
+  template <typename Record>
+  bool wal_append(const Record& rec, std::string* error);
+  /// Log an input's record, then apply() it. The error reply when the
+  /// append fails, which leaves the engine untouched.
+  template <typename Record>
+  std::optional<std::string> log_and_apply(const Record& rec,
+                                           const std::string& seq);
   /// fsync the WAL, timed and counted in wal_syncs_.
   bool sync_wal(std::string* error);
 
@@ -318,7 +325,7 @@ class ServiceDaemon {
   /// recovered resume_clock right after a wall-mode recovery).
   double wall_target_ = 0.0;
 
-  std::vector<GrantFact> derived_grants_;  ///< recovery replay only
+  std::vector<std::string> derived_grants_;  ///< replay's grant payloads
 
   std::unordered_map<JobId, double> submit_wall_;  ///< id -> wall seconds
   std::vector<double> grant_latencies_;

@@ -1,12 +1,11 @@
-// Minimal JSON for the service protocol and WAL payloads.
+// Minimal JSON for the service protocol.
 //
-// The daemon speaks newline-delimited JSON and the write-ahead log frames
-// JSON payloads; both need a parser, and the repo deliberately takes no
-// third-party dependencies. This is a small recursive-descent parser for
-// the full JSON grammar (objects, arrays, strings with escapes, numbers,
-// booleans, null) with a depth limit, plus a writer. Numbers are held as
-// double; protocol doubles round-trip through "%.17g" so grant times and
-// metrics survive a WAL cycle bit-identically.
+// The daemon speaks newline-delimited JSON, which needs a parser, and the
+// repo deliberately takes no third-party dependencies. This is a small
+// recursive-descent parser for the full JSON grammar (objects, arrays,
+// strings with escapes, numbers, booleans, null) with a depth limit,
+// plus a writer. Numbers are held as double; protocol doubles round-trip
+// through "%.17g" so times and metrics survive a reply bit-identically.
 //
 // Objects preserve insertion order (vector of pairs) — duplicate keys are
 // legal and find() returns the first — which keeps serialization

@@ -55,9 +55,9 @@ enum class ErrorCode {
 
 const char* error_code_name(ErrorCode code);
 
-/// The largest job id the protocol and the WAL carry. Both read ids back
-/// as JSON numbers, that is as doubles, which hold every integer up to
-/// 2^53 exactly; a larger id would replay as a different job.
+/// The largest job id the protocol carries: requests name ids as JSON
+/// numbers, which the parser reads as doubles, exact up to 2^53. The WAL
+/// stores ids as i64; replay refuses one past this bound as damage.
 inline constexpr JobId kMaxJobId = JobId{1} << 53;
 
 enum class RequestOp {

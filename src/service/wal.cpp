@@ -9,30 +9,17 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 namespace jigsaw::service {
 
 namespace {
 
-constexpr char kMagic[8] = {'J', 'G', 'S', 'W', 'W', 'A', 'L', '1'};
-constexpr std::uint64_t kHeaderBytes = sizeof(kMagic);
-/// Frames larger than this are treated as corruption, not data: the
-/// largest real payload (a grant's placement digest) is well under 4 KiB.
+constexpr std::string_view kMagic = "JGSWWAL2";
+constexpr std::uint64_t kHeaderBytes = kMagic.size();
+/// Frames larger than this are treated as corruption, not data: every
+/// real payload is under 64 bytes.
 constexpr std::uint32_t kMaxPayload = 1u << 24;
-
-std::uint32_t load_le32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void store_le32(unsigned char* p, std::uint32_t v) {
-  p[0] = static_cast<unsigned char>(v & 0xFF);
-  p[1] = static_cast<unsigned char>((v >> 8) & 0xFF);
-  p[2] = static_cast<unsigned char>((v >> 16) & 0xFF);
-  p[3] = static_cast<unsigned char>((v >> 24) & 0xFF);
-}
 
 const std::array<std::uint32_t, 256>& crc_table() {
   static const std::array<std::uint32_t, 256> kTable = [] {
@@ -54,11 +41,11 @@ bool valid_type(std::uint32_t type) {
          type <= static_cast<std::uint32_t>(WalRecordType::kSnapshot);
 }
 
-std::uint32_t frame_crc(std::uint32_t type, const std::string& payload) {
-  unsigned char type_le[4];
-  store_le32(type_le, type);
-  std::uint32_t c = crc32(type_le, sizeof(type_le));
-  return crc32(payload.data(), payload.size(), c);
+std::uint32_t frame_crc(std::uint32_t type, std::string_view payload) {
+  std::string type_le;
+  BufWriter(type_le).u32(type);
+  return crc32(payload.data(), payload.size(),
+               crc32(type_le.data(), type_le.size()));
 }
 
 }  // namespace
@@ -71,21 +58,6 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
     c = table[(c ^ p[k]) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
-}
-
-bool wal_is_input(WalRecordType type) {
-  switch (type) {
-    case WalRecordType::kSubmit:
-    case WalRecordType::kCancel:
-    case WalRecordType::kFault:
-    case WalRecordType::kDrain:
-      return true;
-    case WalRecordType::kGrant:
-    case WalRecordType::kRelease:
-    case WalRecordType::kSnapshot:
-      return false;
-  }
-  return false;
 }
 
 const char* wal_record_type_name(WalRecordType type) {
@@ -108,21 +80,28 @@ WalReadResult read_wal(const std::string& path) {
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   result.file_bytes = data.size();
-  if (data.size() < kHeaderBytes ||
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    if (!data.empty()) result.tail_error = "bad or short file header";
+  if (data.compare(0, kHeaderBytes, kMagic) != 0) {
+    if (data.compare(0, kHeaderBytes, "JGSWWAL1") == 0) {
+      result.tail_error = "a JGSWWAL1 log (JSON payloads), which this " +
+                          std::string(kMagic) + " build does not read";
+    } else if (!data.empty()) {
+      result.tail_error = "bad or short file header";
+    }
     return result;
   }
   result.header_ok = true;
   std::uint64_t off = kHeaderBytes;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(data.data());
+  const std::string_view bytes = data;
   while (off < data.size()) {
-    if (data.size() - off < 8) {
+    std::uint32_t len = 0;
+    std::uint32_t type = 0;
+    BufReader head(bytes.substr(off, 8));
+    head.u32(len);
+    head.u32(type);
+    if (!head.ok()) {
       result.tail_error = "truncated frame header";
       break;
     }
-    const std::uint32_t len = load_le32(bytes + off);
-    const std::uint32_t type = load_le32(bytes + off + 4);
     if (len > kMaxPayload) {
       result.tail_error = "implausible payload length";
       break;
@@ -135,15 +114,16 @@ WalReadResult read_wal(const std::string& path) {
       result.tail_error = "truncated record";
       break;
     }
-    std::string payload(data, off + 8, len);
-    const std::uint32_t stored_crc = load_le32(bytes + off + 8 + len);
+    const std::string_view payload = bytes.substr(off + 8, len);
+    std::uint32_t stored_crc = 0;
+    BufReader(bytes.substr(off + 8 + len, 4)).u32(stored_crc);
     if (stored_crc != frame_crc(type, payload)) {
       result.tail_error = "checksum mismatch";
       break;
     }
     WalRecord record;
     record.type = static_cast<WalRecordType>(type);
-    record.payload = std::move(payload);
+    record.payload = payload;
     record.offset = off;
     result.records.push_back(std::move(record));
     off += 8 + len + 4;
@@ -197,8 +177,8 @@ bool WalWriter::open(const std::string& path, std::string* error,
   }
   bytes_ = static_cast<std::uint64_t>(st.st_size);
   if (st.st_size == 0) {
-    if (::write(fd_, kMagic, sizeof(kMagic)) !=
-        static_cast<ssize_t>(sizeof(kMagic))) {
+    if (::write(fd_, kMagic.data(), kMagic.size()) !=
+        static_cast<ssize_t>(kMagic.size())) {
       if (error != nullptr) {
         *error = "cannot write WAL header: " + std::string(std::strerror(errno));
       }
@@ -221,15 +201,11 @@ bool WalWriter::append(WalRecordType type, const std::string& payload,
     return false;
   }
   std::string frame;
-  frame.resize(8);
-  store_le32(reinterpret_cast<unsigned char*>(frame.data()),
-             static_cast<std::uint32_t>(payload.size()));
-  store_le32(reinterpret_cast<unsigned char*>(frame.data()) + 4,
-             static_cast<std::uint32_t>(type));
+  BufWriter w(frame);
+  w.u32(payload.size());
+  w.u32(static_cast<std::uint32_t>(type));
   frame += payload;
-  unsigned char crc_le[4];
-  store_le32(crc_le, frame_crc(static_cast<std::uint32_t>(type), payload));
-  frame.append(reinterpret_cast<const char*>(crc_le), 4);
+  w.u32(frame_crc(static_cast<std::uint32_t>(type), payload));
   const char* p = frame.data();
   std::size_t remaining = frame.size();
   while (remaining > 0) {

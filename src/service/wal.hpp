@@ -6,15 +6,20 @@
 // crash loses at most the unsynced tail and recovery can reconstruct the
 // queue, the cluster state, and every outstanding reservation by
 // deterministic replay (service/daemon.hpp owns the replay; this file
-// owns the framing).
+// owns the framing and the record formats).
 //
 // On-disk format (all integers little-endian):
 //
-//   file header   8 bytes  "JGSWWAL1"
+//   file header   8 bytes  "JGSWWAL2"
 //   record        u32 payload_length
 //                 u32 type               (WalRecordType)
-//                 payload_length bytes   (compact JSON, service/json.hpp)
+//                 payload_length bytes   (the type's field list, below)
 //                 u32 crc32              (IEEE, over type word + payload)
+//
+// Each record type is one struct below whose `fields` list
+// (util/binio.hpp) both writes its payload (wal_payload) and reads it
+// back (read_payload). A JGSWWAL1 file, whose payloads were JSON, is
+// refused by name: no reader for it is kept.
 //
 // read_wal() scans from the start and stops at the first violation —
 // short header, truncated frame, implausible length, CRC mismatch, or a
@@ -28,7 +33,12 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "fault/failure_schedule.hpp"
+#include "trace/trace.hpp"
+#include "util/binio.hpp"
 
 namespace jigsaw::service {
 
@@ -45,16 +55,115 @@ enum class WalRecordType : std::uint32_t {
   kSnapshot = 7,
 };
 
-/// True for the record types recovery replays as inputs (the rest are
-/// audit-only derived facts).
-bool wal_is_input(WalRecordType type);
 const char* wal_record_type_name(WalRecordType type);
 
 struct WalRecord {
   WalRecordType type = WalRecordType::kSubmit;
-  std::string payload;        ///< compact JSON
+  /// The field-list bytes of the record struct `type` names (below).
+  std::string payload;
   std::uint64_t offset = 0;   ///< frame start offset in the file
 };
+
+// The record structs. Every input record (the ones replay applies; the
+// rest are audit-only derived facts) leads with `accept`, the engine
+// clock at which the daemon accepted it: in wall mode that is the exact
+// advance_until() bound the request was handled against, so replay
+// re-advances to it before applying the input.
+
+/// An accepted submission, with the correlation id its ack carried.
+struct SubmitRecord {
+  static constexpr WalRecordType kType = WalRecordType::kSubmit;
+  double accept = 0.0;
+  Job job;
+  std::uint64_t corr = 0;
+  static constexpr auto fields = [](auto& io, auto& r) {
+    io.f64(r.accept);
+    job_fields(io, r.job);
+    io.u64(r.corr);
+  };
+};
+
+struct CancelRecord {
+  static constexpr WalRecordType kType = WalRecordType::kCancel;
+  double accept = 0.0;
+  JobId job = kNoJob;
+  static constexpr auto fields = [](auto& io, auto& r) {
+    io.f64(r.accept);
+    io.i64(r.job);
+  };
+};
+
+/// A protocol-injected fail or repair; `event.time` is when it strikes.
+struct FaultRecord {
+  static constexpr WalRecordType kType = WalRecordType::kFault;
+  double accept = 0.0;
+  fault::FaultEvent event;
+  static constexpr auto fields = [](auto& io, auto& r) {
+    io.f64(r.accept);
+    fault::event_fields(io, r.event);
+  };
+};
+
+struct DrainRecord {
+  static constexpr WalRecordType kType = WalRecordType::kDrain;
+  double accept = 0.0;
+  static constexpr auto fields = [](auto& io, auto& r) { io.f64(r.accept); };
+};
+
+/// A granted partition, as the recovery audit compares it: `digest` is
+/// the crc32 of the allocation's field list (topology/allocation.hpp).
+struct GrantRecord {
+  static constexpr WalRecordType kType = WalRecordType::kGrant;
+  JobId job = kNoJob;
+  double time = 0.0;
+  int nodes = 0;
+  std::uint32_t digest = 0;
+  static constexpr auto fields = [](auto& io, auto& r) {
+    io.i64(r.job);
+    io.f64(r.time);
+    io.i64(r.nodes);
+    io.u32(r.digest);
+  };
+};
+
+struct ReleaseRecord {
+  static constexpr WalRecordType kType = WalRecordType::kRelease;
+  JobId job = kNoJob;
+  double time = 0.0;
+  static constexpr auto fields = [](auto& io, auto& r) {
+    io.i64(r.job);
+    io.f64(r.time);
+  };
+};
+
+/// A compacted segment's leading record: the snapshot epoch it extends.
+struct SnapshotMarker {
+  static constexpr WalRecordType kType = WalRecordType::kSnapshot;
+  std::uint64_t epoch = 0;
+  static constexpr auto fields = [](auto& io, auto& r) { io.u64(r.epoch); };
+};
+
+/// Whether replay applies Record as an input: inputs carry `accept`.
+template <typename Record>
+inline constexpr bool kWalInput = requires(Record r) { r.accept; };
+
+/// `rec`'s payload: its field list's bytes.
+template <typename Record>
+std::string wal_payload(const Record& rec) {
+  std::string out;
+  BufWriter w(out);
+  Record::fields(w, rec);
+  return out;
+}
+
+/// Read `payload` with Record's field list. False when it is short,
+/// damaged, or longer than the list.
+template <typename Record>
+bool read_payload(std::string_view payload, Record* rec) {
+  BufReader r(payload);
+  Record::fields(r, *rec);
+  return r.ok() && r.remaining() == 0;
+}
 
 struct WalReadResult {
   std::vector<WalRecord> records;

@@ -102,9 +102,10 @@ SimEngine::SimEngine(const FatTree& topo, const Allocator& allocator,
       allocator_(&allocator),
       config_(config),
       speedups_(speedup_eligible(allocator)),
-      model_(config.scenario, config.scenario_seed),
+      model_(config.scenario, /*seed=*/1),
       so_(config_.obs),
-      state_(topo, config.usable_bandwidth),
+      // Per-wire link-sharing budget: peak 5 GB/s x 80% cap (§5.4.2).
+      state_(topo, /*usable_bandwidth=*/4.0),
       scheduler_(allocator, config.backfill_window, config.backfill_order,
                  config.admission_quick_reject),
       timeline_(topo.total_nodes()) {
@@ -112,7 +113,7 @@ SimEngine::SimEngine(const FatTree& topo, const Allocator& allocator,
   // guarantees (in this library: Baseline) instead of speeding up the
   // isolating ones — the same comparison rebased.
   if (config_.measured_interference_comm_fraction > 0.0 && !speedups_) {
-    traffic_ = std::make_unique<TrafficLoadModel>(topo, config_.traffic_seed);
+    traffic_ = std::make_unique<TrafficLoadModel>(topo, /*seed=*/99);
   }
   // A migration can never be free: a zero (or negative) cost would let a
   // failed unblock re-plan at the same timestamp forever.
@@ -168,6 +169,9 @@ bool SimEngine::cancel(JobId id) {
 
 void SimEngine::add_fault(double time, bool failure,
                           const fault::FaultTarget& target) {
+  // The event expands its target into unchecked ClusterState indices.
+  const std::string invalid = fault::validate(*topo_, target);
+  if (!invalid.empty()) throw std::invalid_argument(invalid);
   if (any_event_processed_ && time < last_event_time_) {
     throw std::invalid_argument("fault event in the simulated past");
   }

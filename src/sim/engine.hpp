@@ -86,7 +86,8 @@ class SimEngine {
   bool cancel(JobId id);
 
   /// Inject one fail/repair event at `time` (>= now, same rule as
-  /// submit). The target must already be validated against the topology.
+  /// submit). Throws std::invalid_argument when the target lies outside
+  /// the tree (fault::validate) or the time is in the simulated past.
   /// Implies set_allow_unfinished(true): a degraded tree may strand jobs.
   void add_fault(double time, bool failure, const fault::FaultTarget& target);
 

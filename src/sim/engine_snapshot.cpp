@@ -103,26 +103,6 @@ const char* guard_mismatch(const BlobGuard& blob, const BlobGuard& live) {
   return nullptr;
 }
 
-constexpr auto leaf_wire_fields = [](auto& io, auto& w) {
-  io.u32(w.leaf);
-  io.u32(w.l2_index);
-};
-
-constexpr auto l2_wire_fields = [](auto& io, auto& w) {
-  io.u32(w.tree);
-  io.u32(w.l2_index);
-  io.u32(w.spine_index);
-};
-
-constexpr auto allocation_fields = [](auto& io, auto& a) {
-  io.i64(a.job);
-  io.i64(a.requested_nodes);
-  io.seq(a.nodes, u32_each);
-  io.seq(a.leaf_wires, leaf_wire_fields);
-  io.seq(a.l2_wires, l2_wire_fields);
-  io.f64(a.bandwidth);
-};
-
 constexpr auto raw_state_fields = [](auto& io, auto& raw) {
   io.seq(raw.free_nodes, u64_each);
   io.seq(raw.free_leaf_up, u64_each);
@@ -152,25 +132,8 @@ constexpr auto event_fields = [](auto& io, auto& e) {
   io.u64(e.seq);
 };
 
-constexpr auto job_fields = [](auto& io, auto& j) {
-  io.i64(j.id);
-  io.f64(j.arrival);
-  io.i64(j.nodes);
-  io.f64(j.runtime);
-  io.f64(j.bandwidth);
-};
-
 constexpr auto phase_fields = [](auto& io, auto& phase) {
   io.enum8(phase, JobPhase::kCancelled);
-};
-
-constexpr auto fault_event_fields = [](auto& io, auto& fe) {
-  io.f64(fe.time);
-  io.flag(fe.failure);
-  io.enum8(fe.target.kind, fault::ResourceKind::kSpine);
-  io.u32(fe.target.a);
-  io.u32(fe.target.b);
-  io.u32(fe.target.c);
 };
 
 constexpr auto pending_job_fields = [](auto& io, auto& p) {
@@ -249,7 +212,7 @@ void SimEngine::blob_fields(IO& io, Self& e, BlobParts& parts) {
   io.u64(parts.next_seq);
   io.seq(e.jobs_, job_fields);
   io.map(e.phase_, phase_fields);
-  io.seq(e.fault_events_, fault_event_fields);
+  io.seq(e.fault_events_, fault::event_fields);
   io.seq(e.queue_, pending_job_fields);
   // running_ order matters: release uses swap-remove, so the vector's
   // layout is part of the deterministic state.
@@ -375,6 +338,12 @@ bool SimEngine::deserialize(std::string_view blob, std::string* error) {
     }
   }
   if (!ids_ok) return fail("engine blob allocation id outside the tree");
+  // A pending fault's target expands into unchecked ClusterState indices.
+  for (const fault::FaultEvent& fe : fault_events_) {
+    if (!fault::validate(*topo_, fe.target).empty()) {
+      return fail("engine blob fault target outside the tree");
+    }
+  }
   for (std::size_t k = 0; k < parts.events.size(); ++k) {
     const Event& ev = parts.events[k];
     if (ev.seq >= parts.next_seq ||

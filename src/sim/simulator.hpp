@@ -36,7 +36,6 @@ enum class VictimPolicy {
 
 struct SimConfig {
   SpeedupScenario scenario = SpeedupScenario::kNone;
-  std::uint64_t scenario_seed = 1;
   int backfill_window = 50;
   BackfillOrder backfill_order = BackfillOrder::kFifo;
   /// Admission-time quick-reject screen: consult the allocator's sound
@@ -48,9 +47,6 @@ struct SimConfig {
   bool admission_quick_reject = false;
   /// Inert: benchmark/sim_workload.cpp sets it; ROADMAP item 1 deletes it.
   std::int64_t alloc_deadline_us = 0;
-  /// Per-wire bandwidth budget for link sharing: peak 5 GB/s x 80% cap
-  /// (§5.4.2).
-  double usable_bandwidth = 4.0;
   /// Record instantaneous utilization at every schedule/completion event
   /// (Table 2); costs memory on very long traces.
   bool collect_instant_samples = false;
@@ -68,7 +64,6 @@ struct SimConfig {
   /// This replaces the paper's assumed speed-up scenarios with penalties
   /// the simulation itself measures (set scenario = kNone when using it).
   double measured_interference_comm_fraction = 0.0;
-  std::uint64_t traffic_seed = 99;
   /// Failure injection (non-owning; null = pristine hardware). Fail and
   /// repair events enter the discrete-event loop, flip ClusterState
   /// health masks, and trigger the victim policy on running jobs. With a

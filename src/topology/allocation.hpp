@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "topology/ids.hpp"
+#include "util/binio.hpp"
 
 namespace jigsaw {
 
@@ -36,6 +37,25 @@ struct Allocation {
     leaf_wires.clear();
     l2_wires.clear();
   }
+};
+
+/// Allocation's field list (util/binio.hpp): the engine snapshot blob
+/// stores allocations with it, and the WAL's grant digest is a crc32
+/// over its bytes. Changing it changes both formats.
+inline constexpr auto allocation_fields = [](auto& io, auto& a) {
+  io.i64(a.job);
+  io.i64(a.requested_nodes);
+  io.seq(a.nodes, u32_each);
+  io.seq(a.leaf_wires, [](auto& wio, auto& w) {
+    wio.u32(w.leaf);
+    wio.u32(w.l2_index);
+  });
+  io.seq(a.l2_wires, [](auto& wio, auto& w) {
+    wio.u32(w.tree);
+    wio.u32(w.l2_index);
+    wio.u32(w.spine_index);
+  });
+  io.f64(a.bandwidth);
 };
 
 }  // namespace jigsaw

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "topology/ids.hpp"
+#include "util/binio.hpp"
 #include "util/rng.hpp"
 
 namespace jigsaw {
@@ -24,6 +25,16 @@ struct Job {
   /// Average per-link bandwidth demand in GB/s (§5.4.2); assigned by
   /// assign_bandwidth_classes, consumed only by LC+S.
   double bandwidth = 1.0;
+};
+
+/// Job's field list (util/binio.hpp), shared by the engine snapshot blob
+/// and the WAL's submit records.
+inline constexpr auto job_fields = [](auto& io, auto& j) {
+  io.i64(j.id);
+  io.f64(j.arrival);
+  io.i64(j.nodes);
+  io.f64(j.runtime);
+  io.f64(j.bandwidth);
 };
 
 struct Trace {

@@ -598,10 +598,11 @@ TEST_F(ServiceRecoveryTest, RecoveryWithoutDrainRestoresAdmissionState) {
   EXPECT_NE(resumed.find("\"job\":3"), std::string::npos) << resumed;
 }
 
-// The WAL logs a job id as a JSON number and replay reads it back as a
-// double, exact up to 2^53. A client may take id 2^53 itself, but the id
-// the daemon would assign next is past the bound: that submit is refused,
-// and the log still recovers.
+// A request names a job id as a JSON number, which the parser reads as a
+// double, exact up to 2^53 (the WAL itself carries any i64). A client may
+// take id 2^53 itself, but the id the daemon would assign next is past
+// what any later request could name: that submit is refused, and the log
+// still recovers.
 TEST_F(ServiceRecoveryTest, AssignedIdPastTheReplayBoundIsRefused) {
   const FatTree topo = FatTree::from_radix(4);
   const SimConfig config;
@@ -793,9 +794,10 @@ TEST_F(ServiceRecoveryTest, TamperedGrantFailsTheAudit) {
         "{\"op\":\"submit\",\"nodes\":2,\"runtime\":60}")));
     ASSERT_TRUE(is_ok(daemon.handle_line("{\"op\":\"drain\"}")));
   }
-  // Rewrite a grant's node count (through the writer so the CRC is
-  // valid): replay re-derives the true grant, the log disagrees, and the
-  // audit must refuse to serve from a log that contradicts replay.
+  // Rewrite a grant's node count through its field list (and the writer,
+  // so the CRC is valid): replay re-derives the true grant, the log
+  // disagrees, and the audit must refuse to serve from a log that
+  // contradicts replay.
   const WalReadResult full = read_wal(wal_path_);
   WalWriter writer;
   std::string error;
@@ -803,9 +805,10 @@ TEST_F(ServiceRecoveryTest, TamperedGrantFailsTheAudit) {
   for (const WalRecord& rec : full.records) {
     std::string payload = rec.payload;
     if (rec.type == WalRecordType::kGrant) {
-      const std::size_t at = payload.find("\"nodes\":");
-      ASSERT_NE(at, std::string::npos);
-      payload.insert(at + 8, 1, '1');  // e.g. nodes 2 -> 12
+      GrantRecord grant;
+      ASSERT_TRUE(read_payload(payload, &grant));
+      grant.nodes += 10;  // e.g. nodes 2 -> 12
+      payload = wal_payload(grant);
     }
     ASSERT_TRUE(writer.append(rec.type, payload, &error)) << error;
   }
@@ -819,6 +822,114 @@ TEST_F(ServiceRecoveryTest, TamperedGrantFailsTheAudit) {
   EXPECT_FALSE(daemon.recovery().audit_ok);
   EXPECT_FALSE(error.empty());
   std::remove((wal_path_ + ".tampered").c_str());
+}
+
+// Every input record type replays: submits, a cancel, and a fail and a
+// repair of a leaf switch that kills running jobs, then a drain whose log
+// is torn mid-run as in MidDrainCrashRecoversBitIdentical. The recovered
+// drain matches an uninterrupted daemon given the same lines bit for bit.
+TEST_F(ServiceRecoveryTest, MidDrainCrashWithFaultsRecoversBitIdentical) {
+  const Trace trace = synth16(120);
+  const FatTree topo = FatTree::from_radix(16);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  std::vector<std::string> lines;
+  for (const Job& job : trace.jobs) lines.push_back(submit_line(job));
+  lines.push_back("{\"op\":\"cancel\",\"job\":" +
+                  std::to_string(trace.jobs[60].id) + "}");
+  lines.push_back(
+      "{\"op\":\"fail\",\"target\":\"leafswitch 2\",\"time\":500}");
+  lines.push_back(
+      "{\"op\":\"repair\",\"target\":\"leafswitch 2\",\"time\":2000}");
+  const auto run = [&](const DaemonOptions& options) {
+    ServiceDaemon daemon(topo, allocator, config, options);
+    std::string error;
+    EXPECT_TRUE(daemon.init(&error)) << error;
+    for (const std::string& line : lines) {
+      EXPECT_TRUE(is_ok(daemon.handle_line(line))) << line;
+    }
+    return scrub_wall_fields(
+        metrics_text(daemon.handle_line("{\"op\":\"drain\"}")));
+  };
+  const std::string reference = run(DaemonOptions{});
+  ASSERT_NE(reference.find("\"fault_events\":2,"), std::string::npos)
+      << reference;
+  ASSERT_EQ(reference.find("\"jobs_killed\":0,"), std::string::npos)
+      << reference;
+  DaemonOptions wal_options;
+  wal_options.wal_path = wal_path_;
+  ASSERT_EQ(run(wal_options), reference);
+
+  // Tear the log a few bytes into the fourth grant's frame.
+  std::vector<std::uint64_t> grant_offsets;
+  for (const WalRecord& rec : read_wal(wal_path_).records) {
+    if (rec.type == WalRecordType::kGrant) grant_offsets.push_back(rec.offset);
+  }
+  ASSERT_GE(grant_offsets.size(), 4u);
+  {
+    std::ifstream in(wal_path_, std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    std::ofstream out(wal_path_, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(),
+              static_cast<std::streamsize>(grant_offsets[3] + 5));
+  }
+
+  DaemonOptions recover_options = wal_options;
+  recover_options.recover = true;
+  ServiceDaemon daemon(topo, allocator, config, recover_options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  const RecoveryReport& report = daemon.recovery();
+  EXPECT_TRUE(report.audit_ok);
+  EXPECT_TRUE(report.saw_drain);
+  EXPECT_EQ(report.inputs_replayed, lines.size() + 1);  // + drain
+  EXPECT_EQ(report.grants_logged, 3u);
+  EXPECT_GT(report.dropped_bytes, 0u);
+  EXPECT_EQ(scrub_wall_fields(
+                metrics_text(daemon.handle_line("{\"op\":\"drain\"}"))),
+            reference);
+}
+
+// A CRC-valid fault record whose target lies outside the tree fails
+// recovery instead of reaching ClusterState as out-of-range indices.
+TEST_F(ServiceRecoveryTest, FaultTargetOutsideTheTreeIsRefused) {
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  std::string error;
+  {
+    WalWriter writer;
+    ASSERT_TRUE(writer.open(wal_path_, &error)) << error;
+    FaultRecord record;
+    record.event.target = {fault::ResourceKind::kNode, 99999, 0, 0};
+    ASSERT_TRUE(writer.append(FaultRecord::kType, wal_payload(record), &error))
+        << error;
+  }
+  DaemonOptions options;
+  options.wal_path = wal_path_;
+  options.recover = true;
+  ServiceDaemon daemon(topo, allocator, config, options);
+  EXPECT_FALSE(daemon.init(&error));
+  EXPECT_NE(error.find("node 99999"), std::string::npos) << error;
+}
+
+// A log in the retired JSON-payload format is refused by name.
+TEST_F(ServiceRecoveryTest, RetiredWalFormatIsRefusedByName) {
+  {
+    std::ofstream out(wal_path_, std::ios::binary);
+    out << "JGSWWAL1";
+  }
+  const FatTree topo = FatTree::from_radix(4);
+  const SimConfig config;
+  JigsawAllocator allocator;
+  DaemonOptions options;
+  options.wal_path = wal_path_;
+  options.recover = true;
+  ServiceDaemon daemon(topo, allocator, config, options);
+  std::string error;
+  EXPECT_FALSE(daemon.init(&error));
+  EXPECT_NE(error.find("JGSWWAL1"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

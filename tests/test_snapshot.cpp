@@ -329,6 +329,32 @@ TEST(SnapshotEngine, DeserializeRejectsDamagedBlob) {
   EXPECT_NO_THROW(restored = bad_node.deserialize(damaged, &error));
   EXPECT_FALSE(restored);
   EXPECT_FALSE(error.empty());
+
+  // A pending fault whose target names a node past the tree: its event
+  // would expand into ClusterState indices out of range.
+  SimEngine faulted(topo, allocator, config);
+  const fault::FaultEvent fail_node{50.0, true, {fault::ResourceKind::kNode, 3}};
+  faulted.add_fault(fail_node.time, fail_node.failure, fail_node.target);
+  std::string faulted_blob;
+  ASSERT_TRUE(faulted.serialize(&faulted_blob, &error)) << error;
+  fault::FaultEvent past_tree = fail_node;
+  past_tree.target.a = 99999;
+  std::string fault_bytes;
+  std::string past_tree_bytes;
+  BufWriter fault_writer(fault_bytes);
+  BufWriter past_tree_writer(past_tree_bytes);
+  fault::event_fields(fault_writer, fail_node);
+  fault::event_fields(past_tree_writer, past_tree);
+  const std::size_t fault_at = faulted_blob.find(fault_bytes);
+  ASSERT_NE(fault_at, std::string::npos);
+  damaged = faulted_blob;
+  damaged.replace(fault_at, fault_bytes.size(), past_tree_bytes);
+  error.clear();
+  SimEngine bad_fault(topo, allocator, config);
+  restored = true;
+  EXPECT_NO_THROW(restored = bad_fault.deserialize(damaged, &error));
+  EXPECT_FALSE(restored);
+  EXPECT_FALSE(error.empty());
 }
 
 // Corruption property over a blob with a defrag plan in flight (its
@@ -387,9 +413,11 @@ TEST(SnapshotEngine, DamagedBlobIsRefusedNotThrown) {
 // ---------------------------------------------------------------------------
 // Format goldens: crc32 and length of three engine blobs (mid-run; the
 // defrag stall trace with its plan adopted, and with its migration
-// window open) and of a JGSWSNP1 file. The values come from the
-// hand-written encoders the field lists replaced, so a list that moves
-// any byte of blob v4 or file v1 fails here.
+// window open), of a JGSWSNP1 file, and of a JGSWWAL2 log. The blob and
+// file values come from the hand-written encoders the field lists
+// replaced, so a list that moves any byte of blob v4 or file v1 fails
+// here; the log's pin keeps the WAL record lists from drifting unless
+// its magic moves.
 // ---------------------------------------------------------------------------
 
 std::uint32_t blob_version(const std::string& blob) {
@@ -469,6 +497,38 @@ TEST(SnapshotFormat, BytesMatchGoldens) {
     std::remove(path.c_str());
     EXPECT_EQ(file.size(), 163u);
     EXPECT_EQ(crc32(file.data(), file.size()), 3400645537u);
+  }
+  {
+    // A fixed virtual-clock session that writes every record type: the
+    // snapshot rotates the submits, cancel and faults into <wal>.prev and
+    // opens the segment that holds the marker, the drain, and the drain's
+    // grants and releases.
+    const std::string wal =
+        ::testing::TempDir() + "wal_golden_" + std::to_string(::getpid());
+    const FatTree topo = FatTree::from_radix(4);
+    JigsawAllocator allocator;
+    DaemonOptions options;
+    options.wal_path = wal;
+    {
+      ServiceDaemon daemon(topo, allocator, SimConfig{}, options);
+      ASSERT_TRUE(daemon.init(&error)) << error;
+      for (const std::string& line : workload(12)) {
+        ASSERT_TRUE(is_ok(daemon.handle_line(line)));
+      }
+      for (const char* line :
+           {"{\"op\":\"cancel\",\"job\":7}",
+            "{\"op\":\"fail\",\"target\":\"leafswitch 2\",\"time\":90}",
+            "{\"op\":\"repair\",\"target\":\"leafswitch 2\",\"time\":600}",
+            "{\"op\":\"snapshot\"}", "{\"op\":\"drain\"}"}) {
+        ASSERT_TRUE(is_ok(daemon.handle_line(line))) << line;
+      }
+    }
+    const std::string log = read_file(wal + ".prev") + read_file(wal);
+    std::remove(wal.c_str());
+    std::remove((wal + ".prev").c_str());
+    std::remove(snapshot_path(wal, 1).c_str());
+    EXPECT_EQ(log.size(), 1800u);
+    EXPECT_EQ(crc32(log.data(), log.size()), 2200599247u);
   }
 }
 
